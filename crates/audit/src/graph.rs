@@ -6,9 +6,9 @@
 //! workspace's own locking idioms:
 //!
 //! * raw `mutex.lock()` sites, and the poison-tolerant guard-returning
-//!   helpers (`lock_clean`, `lock_db`, `Registry::lock`,
-//!   `SpecState::lock`): any same-file `fn` whose name contains `lock`
-//!   and whose body takes a lock on `self.<field>` or on a parameter is
+//!   helpers (the free functions `lock_clean` and `lock_db`, the method
+//!   `Registry::lock`): any same-file `fn` whose name contains `lock` and
+//!   whose body takes a lock on `self.<field>` or on a parameter is
 //!   treated as a helper, so *calling* it acquires the underlying mutex;
 //! * guard bindings (`let g = lock_clean(&self.state);`) hold to the end
 //!   of the enclosing block, to an explicit `drop(g)`, or to rebinding;

@@ -1,14 +1,12 @@
-//! Criterion benchmarks of the MILP solver and the reconstruction
-//! formulations: the engine matrix (dense tableau vs revised simplex,
-//! cold vs warm-started, serial vs parallel branch & bound) plus the
-//! branching-rule ablation called out in DESIGN.md.
+//! Criterion benchmarks of the reconstruction formulations: the
+//! class-merged production model on a full and a partial die, and the
+//! paper-literal per-tile model on the partial die.
 
 // Test/bench harness: unwraps abort the harness, which is the desired failure mode.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use coremap_core::ilp_model::{reconstruct, reconstruct_full, reconstruct_full_with_bb};
+use coremap_core::ilp_model::{reconstruct, reconstruct_full};
 use coremap_core::traffic::ObservationSet;
-use coremap_ilp::{BbConfig, Branching, Cmp, LpEngine, Model};
 use coremap_mesh::{DieTemplate, Floorplan, FloorplanBuilder, TileCoord};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -54,85 +52,5 @@ fn reconstruction(c: &mut Criterion) {
     group.finish();
 }
 
-/// The LP-engine matrix on the reference reconstruction instance: the
-/// legacy dense tableau, the sparse revised simplex solved cold at every
-/// node, the warm-started dual simplex, and the warm engine with
-/// speculative parallel subtree search. All four return byte-identical
-/// placements; only the wall-clock differs.
-///
-/// Uses the paper-literal formulation over a stride-7 subsampled
-/// observation set — the same reference workload as the `ilp_perf` bench
-/// binary. The class-merged formulation plus the indicator presolve is
-/// root-integral on the full synthetic set, so it would measure a single
-/// LP solve instead of the branch & bound.
-fn engine_matrix(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ilp_engine");
-    group.sample_size(10);
-    let plan = full_die_plan();
-    let mut obs = ObservationSet::synthetic(&plan);
-    let paths = std::mem::take(&mut obs.paths);
-    obs.paths = paths.into_iter().step_by(7).collect();
-    let dim = plan.dim();
-    let configs = [
-        ("dense_cold", LpEngine::DenseTableau, 1),
-        ("revised_cold", LpEngine::RevisedCold, 1),
-        ("warm_serial", LpEngine::RevisedWarm, 1),
-        ("warm_parallel4", LpEngine::RevisedWarm, 4),
-    ];
-    for (name, engine, workers) in configs {
-        let cfg = BbConfig {
-            engine,
-            workers,
-            ..BbConfig::default()
-        };
-        group.bench_function(name, |b| {
-            b.iter(|| black_box(reconstruct_full_with_bb(&obs, dim, &cfg).expect("solves")))
-        });
-    }
-    group.finish();
-}
-
-/// A knapsack-flavoured MILP family for the branching-rule ablation.
-fn ablation_model(n: usize) -> Model {
-    let mut m = Model::new();
-    let vars: Vec<_> = (0..n).map(|i| m.bin_var(&format!("b{i}"))).collect();
-    let mut cap = m.expr();
-    let mut obj = m.expr();
-    for (i, &v) in vars.iter().enumerate() {
-        let w = 3 + (i * 7) % 11;
-        let p = 2 + (i * 5) % 13;
-        cap = cap.term(w as f64, v);
-        obj = obj.term(-(p as f64), v);
-    }
-    m.constraint(cap, Cmp::Le, (3 * n) as f64);
-    m.minimize(obj);
-    m
-}
-
-fn branching_rules(c: &mut Criterion) {
-    let mut group = c.benchmark_group("branching_rule");
-    group.sample_size(10);
-    let model = ablation_model(24);
-    group.bench_function("most_fractional", |b| {
-        b.iter(|| {
-            black_box(
-                model
-                    .solve_with_branching(Branching::MostFractional)
-                    .expect("solves"),
-            )
-        })
-    });
-    group.bench_function("first_fractional", |b| {
-        b.iter(|| {
-            black_box(
-                model
-                    .solve_with_branching(Branching::FirstFractional)
-                    .expect("solves"),
-            )
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(benches, reconstruction, engine_matrix, branching_rules);
+criterion_group!(benches, reconstruction);
 criterion_main!(benches);

@@ -306,7 +306,7 @@ pub fn ring_discipline_report() -> String {
         .expect("ring floorplan builds");
     let obs = ObservationSet::synthetic(&plan);
     let zoo: Vec<Topology> = Topology::builtins().iter().map(|&t| t.clone()).collect();
-    let sel = topology_select::select(&obs, &zoo, coremap_core::SolveOptions::default());
+    let sel = topology_select::select(&obs, &zoo);
 
     let mut out = String::new();
     let _ = writeln!(out, "== Appendix: ring-discipline regression ==");

@@ -28,7 +28,6 @@ COMMAND OPTIONS:
               --metrics <FILE>      write pipeline metrics as JSON
               --harden              aggressive fault tolerance (MSR retry,
                                     median-of-3 counters, degradation)
-              --ilp-workers <N>     ILP branch-and-bound threads [default: 1]
               --topology <N|FILE>   reconstruct under one topology hypothesis:
                                     a builtin name (e.g. skylake-xcc) or a
                                     coremap-topology/v1 JSON file
@@ -42,8 +41,6 @@ COMMAND OPTIONS:
               --workers <N>         mapping worker threads [default: all cores]
               --metrics <FILE>      write campaign metrics as JSON
               --harden              aggressive fault tolerance per instance
-              --ilp-workers <N>     ILP threads per instance (idle mapping
-                                    workers are redistributed automatically)
               --topology <N|FILE>   per-instance topology hypothesis
               --topology-set <SET>  per-instance hypothesis selection
               --db <FILE>           persistent fleet database: solves are
@@ -60,7 +57,6 @@ COMMAND OPTIONS:
                                     on this many mapping workers
               --metrics <FILE>      write service metrics as JSON on shutdown
               --harden              aggressive fault tolerance per instance
-              --ilp-workers <N>     ILP threads per campaign instance
               (protocol: one JSON request per line — {\"cmd\":\"map-by-ppin\",
               \"ppin\":\"0x…\"}, map-by-signature, campaign, stats, shutdown —
               one {\"ok\":…} JSON reply line each)
@@ -80,7 +76,6 @@ pub enum Command {
         registry: Option<String>,
         metrics: Option<String>,
         harden: bool,
-        ilp_workers: usize,
         topology: Option<String>,
         topology_set: Option<String>,
     },
@@ -98,7 +93,6 @@ pub enum Command {
         workers: Option<usize>,
         metrics: Option<String>,
         harden: bool,
-        ilp_workers: usize,
         topology: Option<String>,
         topology_set: Option<String>,
         db: Option<String>,
@@ -113,7 +107,6 @@ pub enum Command {
         workers: Option<usize>,
         metrics: Option<String>,
         harden: bool,
-        ilp_workers: usize,
     },
     /// Thermal covert channel transfer.
     Channel {
@@ -145,9 +138,9 @@ fn parse_model(s: &str) -> Result<CpuModel, String> {
 }
 
 /// Parses a numeric flag value that must be at least one: a zero here
-/// (`--instances 0`, `--workers 0`, `--ilp-workers 0`) used to slip
-/// through to runtime as an empty campaign, a clamped pool, or a clamped
-/// solver — now it is a usage error at parse time.
+/// (`--instances 0`, `--workers 0`) used to slip through to runtime as an
+/// empty campaign or a clamped pool — now it is a usage error at parse
+/// time.
 fn parse_positive(flag: &str, raw: &str) -> Result<usize, String> {
     let n: usize = raw
         .parse()
@@ -190,7 +183,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
     let mut rate = 2.0f64;
     let mut senders = 1usize;
     let mut harden = false;
-    let mut ilp_workers = 1usize;
     let mut topology: Option<String> = None;
     let mut topology_set: Option<String> = None;
     let mut db: Option<String> = None;
@@ -230,9 +222,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             // Boolean flags: consume no value.
             "--harden" => harden = true,
             "--resume" => resume = true,
-            "--ilp-workers" => {
-                ilp_workers = parse_positive("--ilp-workers", &o.value("--ilp-workers")?)?
-            }
             "--topology" => topology = Some(o.value("--topology")?),
             "--topology-set" => topology_set = Some(o.value("--topology-set")?),
             "--db" => db = Some(o.value("--db")?),
@@ -262,7 +251,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             registry,
             metrics,
             harden,
-            ilp_workers,
             topology,
             topology_set,
         }),
@@ -283,7 +271,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 workers,
                 metrics,
                 harden,
-                ilp_workers,
                 topology,
                 topology_set,
                 db,
@@ -302,7 +289,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 workers,
                 metrics,
                 harden,
-                ilp_workers,
             })
         }
         "channel" => Ok(Command::Channel {
@@ -339,7 +325,6 @@ mod tests {
                 registry: None,
                 metrics: None,
                 harden: false,
-                ilp_workers: 1,
                 topology: None,
                 topology_set: None
             }
@@ -441,7 +426,6 @@ mod tests {
                 workers: Some(3),
                 metrics: None,
                 harden: false,
-                ilp_workers: 1,
                 topology: None,
                 topology_set: None,
                 db: None,
@@ -479,31 +463,20 @@ mod tests {
     #[test]
     fn zero_counts_are_usage_errors() {
         // Regression: these used to parse and fall through to runtime — an
-        // empty survey, a silently clamped worker pool, a clamped solver.
+        // empty survey or a silently clamped worker pool.
         assert!(parse(&argv("fleet --instances 0")).is_err());
         assert!(parse(&argv("fleet --workers 0")).is_err());
-        assert!(parse(&argv("fleet --ilp-workers 0")).is_err());
-        assert!(parse(&argv("map --ilp-workers 0")).is_err());
-        assert!(parse(&argv("fleet --instances 1 --workers 1 --ilp-workers 1")).is_ok());
+        assert!(parse(&argv("fleet --instances 1 --workers 1")).is_ok());
         assert!(parse(&argv("fleet --instances -3")).is_err());
         assert!(parse(&argv("fleet --instances nope")).is_err());
     }
 
     #[test]
-    fn ilp_workers_flag_parses_on_map_and_fleet() {
-        assert!(matches!(
-            parse(&argv("map --ilp-workers 4")).unwrap(),
-            Command::Map { ilp_workers: 4, .. }
-        ));
-        assert!(matches!(
-            parse(&argv("fleet --ilp-workers 2 --workers 3")).unwrap(),
-            Command::Fleet {
-                ilp_workers: 2,
-                workers: Some(3),
-                ..
-            }
-        ));
-        assert!(parse(&argv("map --ilp-workers nope")).is_err());
+    fn ilp_workers_flag_is_gone() {
+        for cmd in ["map", "fleet", "serve --socket s.sock"] {
+            let err = parse(&argv(&format!("{cmd} --ilp-workers 2"))).unwrap_err();
+            assert_eq!(err, "unknown option '--ilp-workers'");
+        }
     }
 
     #[test]
@@ -548,7 +521,6 @@ mod tests {
                 workers: Some(4),
                 metrics: None,
                 harden: false,
-                ilp_workers: 1,
             }
         );
         assert!(matches!(

@@ -34,21 +34,11 @@ pub fn run(cmd: Command) -> CliResult {
             registry,
             metrics,
             harden,
-            ilp_workers,
             topology,
             topology_set,
         } => {
             let hypotheses = build_hypotheses(model, &topology, &topology_set)?;
-            map(
-                model,
-                index,
-                seed,
-                registry,
-                metrics,
-                harden,
-                ilp_workers,
-                hypotheses,
-            )
+            map(model, index, seed, registry, metrics, harden, hypotheses)
         }
         Command::Show { registry, db, ppin } => show(registry.as_deref(), db.as_deref(), ppin),
         Command::Fleet {
@@ -58,7 +48,6 @@ pub fn run(cmd: Command) -> CliResult {
             workers,
             metrics,
             harden,
-            ilp_workers,
             topology,
             topology_set,
             db,
@@ -67,27 +56,9 @@ pub fn run(cmd: Command) -> CliResult {
             let hypotheses = build_hypotheses(model, &topology, &topology_set)?;
             match db {
                 Some(db_path) => fleet_campaign(
-                    model,
-                    instances,
-                    seed,
-                    workers,
-                    metrics,
-                    harden,
-                    ilp_workers,
-                    hypotheses,
-                    &db_path,
-                    resume,
+                    model, instances, seed, workers, metrics, harden, hypotheses, &db_path, resume,
                 ),
-                None => fleet_survey(
-                    model,
-                    instances,
-                    seed,
-                    workers,
-                    metrics,
-                    harden,
-                    ilp_workers,
-                    hypotheses,
-                ),
+                None => fleet_survey(model, instances, seed, workers, metrics, harden, hypotheses),
             }
         }
         Command::Serve {
@@ -98,7 +69,6 @@ pub fn run(cmd: Command) -> CliResult {
             workers,
             metrics,
             harden,
-            ilp_workers,
         } => crate::serve::serve(
             model,
             seed,
@@ -107,7 +77,6 @@ pub fn run(cmd: Command) -> CliResult {
             workers,
             metrics.as_deref(),
             harden,
-            ilp_workers,
             Vec::new(),
         ),
         Command::Channel {
@@ -192,18 +161,13 @@ fn print_hypothesis_scores(quality: &MapQuality) {
     }
 }
 
-pub(crate) fn mapper_for(
-    harden: bool,
-    ilp_workers: usize,
-    hypotheses: Vec<Topology>,
-) -> CoreMapper {
+pub(crate) fn mapper_for(harden: bool, hypotheses: Vec<Topology>) -> CoreMapper {
     let base = if harden {
         CoreMapper::hardened()
     } else {
         CoreMapper::new()
     };
     let mut cfg = base.config().clone();
-    cfg.ilp_workers = ilp_workers.max(1);
     cfg.topology_hypotheses = hypotheses;
     CoreMapper::with_config(cfg)
 }
@@ -213,7 +177,6 @@ fn map_instance(
     index: usize,
     seed: u64,
     harden: bool,
-    ilp_workers: usize,
     hypotheses: Vec<Topology>,
 ) -> Result<(coremap_fleet::CloudInstance, coremap_core::CoreMap), Box<dyn Error>> {
     let fleet = CloudFleet::with_seed(seed);
@@ -224,8 +187,7 @@ fn map_instance(
         instance.ppin()
     );
     let mut machine = instance.boot();
-    let (map, diag) =
-        mapper_for(harden, ilp_workers, hypotheses).map_with_diagnostics(&mut machine)?;
+    let (map, diag) = mapper_for(harden, hypotheses).map_with_diagnostics(&mut machine)?;
     print_hypothesis_scores(&diag.quality);
     // The die template drives IMC/SYS tiles in renderings; it only applies
     // when the map still lives on the model's own grid (a selection run can
@@ -256,7 +218,6 @@ fn write_metrics(reg: &obs::Registry, path: &str) -> CliResult {
     Ok(())
 }
 
-#[allow(clippy::too_many_arguments)]
 fn map(
     model: CpuModel,
     index: usize,
@@ -264,11 +225,10 @@ fn map(
     registry: Option<String>,
     metrics: Option<String>,
     harden: bool,
-    ilp_workers: usize,
     hypotheses: Vec<Topology>,
 ) -> CliResult {
     let scope = metrics_scope(&metrics);
-    let (_, map) = map_instance(model, index, seed, harden, ilp_workers, hypotheses)?;
+    let (_, map) = map_instance(model, index, seed, harden, hypotheses)?;
     println!("{}", map.render());
     if let Some(path) = registry {
         let mut reg = match File::open(&path) {
@@ -331,7 +291,6 @@ fn show(registry: Option<&str>, db: Option<&str>, ppin: Option<u64>) -> CliResul
     Ok(())
 }
 
-#[allow(clippy::too_many_arguments)]
 fn fleet_survey(
     model: CpuModel,
     instances: usize,
@@ -339,7 +298,6 @@ fn fleet_survey(
     workers: Option<usize>,
     metrics: Option<String>,
     harden: bool,
-    ilp_workers: usize,
     hypotheses: Vec<Topology>,
 ) -> CliResult {
     let fleet = CloudFleet::with_seed(seed);
@@ -354,7 +312,7 @@ fn fleet_survey(
         &fleet,
         model,
         count,
-        &mapper_for(harden, ilp_workers, hypotheses),
+        &mapper_for(harden, hypotheses),
         CloudInstance::boot,
     );
     if let (Some((reg, guard)), Some(path)) = (scope, &metrics) {
@@ -396,7 +354,6 @@ fn fleet_campaign(
     workers: Option<usize>,
     metrics: Option<String>,
     harden: bool,
-    ilp_workers: usize,
     hypotheses: Vec<Topology>,
     db_path: &str,
     resume: bool,
@@ -416,7 +373,7 @@ fn fleet_campaign(
         db.len()
     );
     let scope = metrics_scope(&metrics);
-    let mapper = mapper_for(harden, ilp_workers, hypotheses);
+    let mapper = mapper_for(harden, hypotheses);
     let report = run_campaign(&runner, &fleet, model, instances, resume, &mapper, &mut db)?;
     if let (Some((reg, guard)), Some(path)) = (scope, &metrics) {
         drop(guard);
@@ -472,7 +429,7 @@ fn channel(
     if rate <= 0.0 {
         return Err("--rate must be positive".into());
     }
-    let (instance, map) = map_instance(model, index, seed, false, 1, Vec::new())?;
+    let (instance, map) = map_instance(model, index, seed, false, Vec::new())?;
 
     // Receiver with a vertical neighbour; extra senders by proximity.
     let (receiver, first_sender) = (0..map.core_count() as u16)
@@ -520,7 +477,7 @@ fn channel(
 }
 
 fn verify_cmd(model: CpuModel, index: usize, seed: u64) -> CliResult {
-    let (instance, map) = map_instance(model, index, seed, false, 1, Vec::new())?;
+    let (instance, map) = map_instance(model, index, seed, false, Vec::new())?;
     let truth = instance.floorplan();
     let positions: Vec<_> = truth.chas().map(|c| map.coord_of_cha(c)).collect();
     println!("{}", map.render());

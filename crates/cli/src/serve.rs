@@ -27,7 +27,6 @@ pub fn serve(
     workers: Option<usize>,
     metrics: Option<&str>,
     harden: bool,
-    ilp_workers: usize,
     hypotheses: Vec<Topology>,
 ) -> CliResult {
     let db = match db_path {
@@ -39,7 +38,7 @@ pub fn serve(
     };
     let workers = workers.unwrap_or(2);
     let fleet = CloudFleet::with_seed(seed);
-    let mapper = crate::commands::mapper_for(harden, ilp_workers, hypotheses);
+    let mapper = crate::commands::mapper_for(harden, hypotheses);
     eprintln!(
         "serving {model} maps on {socket} with {workers} worker(s) ({} chips, {} solves warm)...",
         db.len(),

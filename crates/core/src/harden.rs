@@ -482,6 +482,9 @@ fn discard(kept: &mut ObservationSet, bad: &[usize]) {
 /// [`MapFidelity::Partial`] rather than erroring; only unsolvable sets
 /// still fail.
 ///
+/// The trailing [`SolveOptions`](ilp_model::SolveOptions) argument is
+/// accepted and ignored (see its docs); it keeps existing callers building.
+///
 /// # Errors
 ///
 /// [`MapError::Ilp`] / [`MapError::InconsistentObservations`] when the set
@@ -491,7 +494,7 @@ pub fn reconstruct_degrading(
     dim: GridDim,
     full_formulation: bool,
     cfg: &RobustnessConfig,
-    solve_opts: ilp_model::SolveOptions,
+    _solve_opts: ilp_model::SolveOptions,
 ) -> Result<(Reconstruction, MapQuality), MapError> {
     let total = obs_set.paths.len();
     let max_discard = (total as f64 * cfg.max_discard_fraction).floor() as usize;
@@ -500,9 +503,9 @@ pub fn reconstruct_degrading(
     let mut rounds = 0usize;
     loop {
         let solved = if full_formulation {
-            ilp_model::reconstruct_full_with(&kept, dim, solve_opts)
+            ilp_model::reconstruct_full(&kept, dim)
         } else {
-            ilp_model::reconstruct_with(&kept, dim, solve_opts)
+            ilp_model::reconstruct(&kept, dim)
         };
         match solved {
             Ok(rec) => {

@@ -24,7 +24,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use coremap_ilp::{BbConfig, Cmp, LinExpr, LpEngine, Model, SolveStats, Var};
+use coremap_ilp::{Cmp, LinExpr, Model, SolveStats, Var};
 use coremap_mesh::{GridDim, TileCoord};
 
 use crate::traffic::{ObservationSet, VerticalDir};
@@ -41,14 +41,17 @@ pub struct Reconstruction {
     pub objective: f64,
 }
 
-/// Solver tuning forwarded from the mapper to the branch-and-bound search.
-/// Solutions are byte-identical at any `workers` value and whether or not
-/// warm starts are enabled, so these are pure performance knobs.
+/// Former branch-and-bound tuning, kept so existing callers still build.
+///
+/// Accepted and ignored: the reconstruction solve is one serial
+/// branch & bound with a cold revised-simplex solve at every node, so
+/// there is no worker count or warm start left to choose. Nothing in the
+/// library reads either field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SolveOptions {
-    /// Branch-and-bound worker threads (`<= 1` means serial).
+    /// Ignored; the solve is serial.
     pub workers: usize,
-    /// Dual-simplex warm starts across nodes (disable for ablations).
+    /// Ignored; every node is solved cold.
     pub warm_start: bool,
 }
 
@@ -56,21 +59,7 @@ impl Default for SolveOptions {
     fn default() -> Self {
         Self {
             workers: 1,
-            warm_start: true,
-        }
-    }
-}
-
-impl SolveOptions {
-    fn bb_config(self) -> BbConfig {
-        BbConfig {
-            engine: if self.warm_start {
-                LpEngine::RevisedWarm
-            } else {
-                LpEngine::RevisedCold
-            },
-            workers: self.workers.max(1),
-            ..BbConfig::default()
+            warm_start: false,
         }
     }
 }
@@ -160,37 +149,7 @@ fn add_axis_indicators(model: &mut Model, vars: &[Var], extent: usize, obj: &mut
 /// [`MapError::Ilp`] if the ILP is infeasible (mutually inconsistent,
 /// typically extremely noisy, observations) or hits solver limits.
 pub fn reconstruct(obs: &ObservationSet, dim: GridDim) -> Result<Reconstruction, MapError> {
-    reconstruct_with(obs, dim, SolveOptions::default())
-}
-
-/// [`reconstruct`] with explicit solver tuning ([`SolveOptions`]). The
-/// returned placement is identical for every option combination; only the
-/// wall-clock cost differs.
-///
-/// # Errors
-///
-/// As for [`reconstruct`].
-pub fn reconstruct_with(
-    obs: &ObservationSet,
-    dim: GridDim,
-    opts: SolveOptions,
-) -> Result<Reconstruction, MapError> {
-    reconstruct_with_bb(obs, dim, &opts.bb_config())
-}
-
-/// [`reconstruct`] with a raw branch-and-bound configuration — the
-/// engine-ablation seam of the solver benchmarks (e.g. pitting the legacy
-/// dense tableau against the revised simplex on the same instance).
-///
-/// # Errors
-///
-/// As for [`reconstruct`].
-pub fn reconstruct_with_bb(
-    obs: &ObservationSet,
-    dim: GridDim,
-    cfg: &BbConfig,
-) -> Result<Reconstruction, MapError> {
-    reconstruct_mesh_bb(obs, dim, cfg, false)
+    reconstruct_mesh(obs, dim, false)
 }
 
 /// Reconstruction under an explicit routing-discipline hypothesis: the seam
@@ -218,14 +177,11 @@ pub fn reconstruct_disciplined(
     obs: &ObservationSet,
     dim: GridDim,
     discipline: coremap_mesh::RoutingDiscipline,
-    opts: SolveOptions,
 ) -> Result<Reconstruction, MapError> {
     use coremap_mesh::RoutingDiscipline as Rd;
     match discipline {
-        Rd::VerticalFirst | Rd::QuadrantLocal => {
-            reconstruct_mesh_bb(obs, dim, &opts.bb_config(), false)
-        }
-        Rd::HorizontalFirst => reconstruct_mesh_bb(obs, dim, &opts.bb_config(), true),
+        Rd::VerticalFirst | Rd::QuadrantLocal => reconstruct_mesh(obs, dim, false),
+        Rd::HorizontalFirst => reconstruct_mesh(obs, dim, true),
         Rd::Ring { .. } => Err(MapError::InconsistentObservations),
     }
 }
@@ -233,10 +189,9 @@ pub fn reconstruct_disciplined(
 /// The class-merged mesh formulation, parameterized over the dimension
 /// order. `horizontal_first = false` is the paper-literal model and the
 /// production path; `true` is the X-then-Y hypothesis.
-fn reconstruct_mesh_bb(
+fn reconstruct_mesh(
     obs: &ObservationSet,
     dim: GridDim,
-    cfg: &BbConfig,
     horizontal_first: bool,
 ) -> Result<Reconstruction, MapError> {
     let n = obs.n_cha;
@@ -517,7 +472,7 @@ fn reconstruct_mesh_bb(
     add_axis_indicators(&mut model, &cv, dim.cols, &mut obj);
     model.minimize(obj);
 
-    let sol = model.solve_with_config(cfg)?;
+    let sol = model.solve()?;
 
     let positions = (0..n)
         .map(|i| {
@@ -542,33 +497,6 @@ fn reconstruct_mesh_bb(
 ///
 /// As for [`reconstruct`].
 pub fn reconstruct_full(obs: &ObservationSet, dim: GridDim) -> Result<Reconstruction, MapError> {
-    reconstruct_full_with(obs, dim, SolveOptions::default())
-}
-
-/// [`reconstruct_full`] with explicit solver tuning ([`SolveOptions`]).
-///
-/// # Errors
-///
-/// As for [`reconstruct`].
-pub fn reconstruct_full_with(
-    obs: &ObservationSet,
-    dim: GridDim,
-    opts: SolveOptions,
-) -> Result<Reconstruction, MapError> {
-    reconstruct_full_with_bb(obs, dim, &opts.bb_config())
-}
-
-/// [`reconstruct_full`] with a raw branch-and-bound configuration — the
-/// engine-ablation seam of the solver benchmarks.
-///
-/// # Errors
-///
-/// As for [`reconstruct`].
-pub fn reconstruct_full_with_bb(
-    obs: &ObservationSet,
-    dim: GridDim,
-    cfg: &BbConfig,
-) -> Result<Reconstruction, MapError> {
     let n = obs.n_cha;
     let mut model = Model::new();
     let r: Vec<Var> = (0..n)
@@ -658,7 +586,7 @@ pub fn reconstruct_full_with_bb(
     add_axis_indicators(&mut pre.model, &rset, dim.rows, &mut obj);
     add_axis_indicators(&mut pre.model, &cset, dim.cols, &mut obj);
     pre.model.minimize(obj);
-    let sol = pre.model.solve_with_config(cfg)?;
+    let sol = pre.model.solve()?;
 
     let positions = (0..n)
         .map(|i| {
@@ -815,13 +743,8 @@ mod tests {
             .build()
             .unwrap();
         let obs = ObservationSet::synthetic(&plan);
-        let rec = reconstruct_disciplined(
-            &obs,
-            plan.dim(),
-            RoutingDiscipline::HorizontalFirst,
-            SolveOptions::default(),
-        )
-        .unwrap();
+        let rec =
+            reconstruct_disciplined(&obs, plan.dim(), RoutingDiscipline::HorizontalFirst).unwrap();
         assert!(verify::positions_match(&rec.positions, &plan));
         assert!(obs.paths.iter().all(|p| verify::explains_path_with(
             &rec.positions,

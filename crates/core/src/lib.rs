@@ -61,7 +61,6 @@ pub mod ilp_model;
 mod mapper;
 pub mod monitor;
 pub mod signature;
-pub mod target;
 pub mod topology_select;
 pub mod traffic;
 pub mod verify;
@@ -73,6 +72,5 @@ pub use harden::{Harden, MapFidelity, MapQuality, RobustnessConfig};
 pub use ilp_model::SolveOptions;
 pub use mapper::{CoreMapper, MapDiagnostics, MapperConfig};
 pub use signature::{CachedSolve, ObservationSignature, SolveCache};
-pub use target::MapTarget;
 pub use topology_select::{HypothesisScore, Selection};
 pub use traffic::{ObservationSet, PathObservation, VerticalDir};

@@ -106,11 +106,11 @@ pub struct MapperConfig {
     /// stage-local re-measurement and graceful ILP degradation
     /// ([`harden`](crate::harden)).
     pub robustness: RobustnessConfig,
-    /// Branch-and-bound worker threads for the reconstruction ILP
-    /// (`<= 1` means serial). Solutions are byte-identical at any count.
+    /// Accepted and ignored: the reconstruction ILP is solved by one serial
+    /// branch & bound. Kept so existing configurations still build.
     pub ilp_workers: usize,
-    /// Dual-simplex warm starts across branch-and-bound nodes. On by
-    /// default; disabling selects the cold revised engine (for ablations).
+    /// Accepted and ignored: every branch-and-bound node is solved cold.
+    /// Kept so existing configurations still build.
     pub ilp_warm_start: bool,
     /// Topology hypotheses to test in step 3. Empty (the default) keeps the
     /// paper-literal reconstruction against the machine's own grid; when
@@ -137,7 +137,7 @@ impl Default for MapperConfig {
             ring: RingClass::Bl,
             robustness: RobustnessConfig::default(),
             ilp_workers: 1,
-            ilp_warm_start: true,
+            ilp_warm_start: false,
             topology_hypotheses: Vec::new(),
             signature_context: None,
         }
@@ -284,11 +284,6 @@ impl CoreMapper {
             }
         };
 
-        let solve_opts = crate::ilp_model::SolveOptions {
-            workers: self.config.ilp_workers,
-            warm_start: self.config.ilp_warm_start,
-        };
-
         // Step 3: ILP reconstruction. With a hypothesis set configured the
         // reconstruction runs once per candidate topology and the first
         // surviving hypothesis wins; otherwise the paper-literal path
@@ -341,7 +336,7 @@ impl CoreMapper {
                             dim,
                             self.config.full_formulation,
                             &self.config.robustness,
-                            solve_opts,
+                            Default::default(),
                         )?;
                         if let Some(lease) = lease {
                             lease.publish(&CachedSolve {
@@ -357,11 +352,8 @@ impl CoreMapper {
                 (rec, quality, dim, None)
             } else {
                 let _span = obs::time("core.map.stage.topo_select");
-                let selection = crate::topology_select::select(
-                    &observations,
-                    &self.config.topology_hypotheses,
-                    solve_opts,
-                );
+                let selection =
+                    crate::topology_select::select(&observations, &self.config.topology_hypotheses);
                 obs::add(
                     "topo.hypotheses.tested",
                     self.config.topology_hypotheses.len() as u64,

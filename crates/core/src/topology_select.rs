@@ -40,7 +40,7 @@ use coremap_mesh::route::ring_cycle;
 use coremap_mesh::{RoutingDiscipline, TileCoord, Topology};
 use serde::{Deserialize, Serialize};
 
-use crate::ilp_model::{reconstruct_disciplined, Reconstruction, SolveOptions};
+use crate::ilp_model::{reconstruct_disciplined, Reconstruction};
 use crate::traffic::ObservationSet;
 use crate::verify::explains_path_with;
 
@@ -96,12 +96,12 @@ impl Selection {
 /// Infeasibility of individual hypotheses is *data* here, not failure: the
 /// function only reports, the caller decides whether an empty winner is an
 /// error.
-pub fn select(obs: &ObservationSet, hypotheses: &[Topology], opts: SolveOptions) -> Selection {
+pub fn select(obs: &ObservationSet, hypotheses: &[Topology]) -> Selection {
     let mut scores = Vec::with_capacity(hypotheses.len());
     let mut winner = None;
     let mut reconstruction = None;
     for (i, topo) in hypotheses.iter().enumerate() {
-        let (score, rec) = score_one(obs, topo, opts);
+        let (score, rec) = score_one(obs, topo);
         if winner.is_none() && score.survives() {
             winner = Some(i);
             reconstruction = rec;
@@ -126,11 +126,7 @@ fn eliminated(topo: &Topology, why: String) -> HypothesisScore {
     }
 }
 
-fn score_one(
-    obs: &ObservationSet,
-    topo: &Topology,
-    opts: SolveOptions,
-) -> (HypothesisScore, Option<Reconstruction>) {
+fn score_one(obs: &ObservationSet, topo: &Topology) -> (HypothesisScore, Option<Reconstruction>) {
     if let RoutingDiscipline::Ring { .. } = topo.routing() {
         return score_ring(obs, topo);
     }
@@ -147,7 +143,7 @@ fn score_one(
             None,
         );
     }
-    let rec = match reconstruct_disciplined(obs, topo.dim(), topo.routing(), opts) {
+    let rec = match reconstruct_disciplined(obs, topo.dim(), topo.routing()) {
         Ok(rec) => rec,
         Err(e) => {
             return (
@@ -332,7 +328,7 @@ mod tests {
     #[test]
     fn skylake_trace_selects_skylake() {
         let (obs, _) = synthetic_for("skylake-xcc");
-        let sel = select(&obs, &zoo(), SolveOptions::default());
+        let sel = select(&obs, &zoo());
         assert_eq!(sel.winner_name(), Some("skylake-xcc"));
         // Cascade Lake is geometrically identical: it must also survive,
         // losing only on list order.
@@ -352,7 +348,7 @@ mod tests {
     #[test]
     fn icelake_trace_selects_icelake() {
         let (obs, _) = synthetic_for("icelake-xcc");
-        let sel = select(&obs, &zoo(), SolveOptions::default());
+        let sel = select(&obs, &zoo());
         assert_eq!(sel.winner_name(), Some("icelake-xcc"));
         // 40 CHAs cannot fit the 28-capable Skylake grid.
         assert!(!sel.scores[0].survives());
@@ -366,7 +362,7 @@ mod tests {
     #[test]
     fn ring_trace_selects_ring() {
         let (obs, plan) = synthetic_for("ring-28");
-        let sel = select(&obs, &zoo(), SolveOptions::default());
+        let sel = select(&obs, &zoo());
         assert_eq!(sel.winner_name(), Some("ring-28"));
         let rec = sel.reconstruction.unwrap();
         // The recovered embedding replays every observation.
@@ -381,7 +377,7 @@ mod tests {
     #[test]
     fn xfirst_trace_selects_xfirst() {
         let (obs, _) = synthetic_for("skylake-xcc-xfirst");
-        let sel = select(&obs, &zoo(), SolveOptions::default());
+        let sel = select(&obs, &zoo());
         assert_eq!(sel.winner_name(), Some("skylake-xcc-xfirst"));
         // The Y-then-X hypotheses must not survive an X-then-Y trace.
         assert!(!sel.scores[0].survives());
@@ -390,7 +386,7 @@ mod tests {
     #[test]
     fn empty_hypothesis_set_has_no_winner() {
         let (obs, _) = synthetic_for("skylake-xcc");
-        let sel = select(&obs, &[], SolveOptions::default());
+        let sel = select(&obs, &[]);
         assert!(sel.winner.is_none());
         assert!(sel.scores.is_empty());
     }

@@ -310,12 +310,6 @@ impl FleetRunner {
     /// measures, so the same runner drives simulators, recording wrappers
     /// or fault-injection studies.
     ///
-    /// Idle runner threads are handed to the ILP stage: when the campaign
-    /// has fewer instances than workers, each instance's branch-and-bound
-    /// solve gets `workers / count` threads (never lowering an explicit
-    /// `ilp_workers` setting). Solutions are byte-identical at any worker
-    /// split, so this only changes wall-clock time.
-    ///
     /// Recovered maps carry the model's die template, as every consumer
     /// wants them.
     pub fn map_instances<B, F>(
@@ -330,9 +324,6 @@ impl FleetRunner {
         B: MachineBackend,
         F: Fn(&CloudInstance) -> B + Sync,
     {
-        let mut cfg = mapper.config().clone();
-        cfg.ilp_workers = cfg.ilp_workers.max(self.workers / count.max(1));
-        let mapper = CoreMapper::with_config(cfg);
         self.run(fleet, model, count, |instance| {
             let mut machine = boot(instance);
             mapper.map_with_diagnostics(&mut machine).map(|(m, diag)| {
@@ -380,7 +371,6 @@ impl FleetRunner {
         F: Fn(&CloudInstance) -> B + Sync,
     {
         let mut cfg = mapper.config().clone();
-        cfg.ilp_workers = cfg.ilp_workers.max(self.workers / indices.len().max(1));
         cfg.signature_context = Some(model.topology().name().to_owned());
         let mapper = CoreMapper::with_config(cfg);
         self.run_indices(fleet, model, indices, |instance| {

@@ -1,90 +1,39 @@
 //! Branch & bound over the LP relaxations.
 //!
-//! The search is organized as a **deterministic sequencer** plus optional
-//! **speculative workers**:
-//!
-//! * The sequencer owns the frontier and consumes nodes in a fixed order —
-//!   depth-first (most recent child first) until the first incumbent, then
-//!   best-bound (lowest parent LP bound, deepest, earliest-created) — and is
-//!   the only place that records metrics or mutates search state. Every
-//!   decision it makes is a pure function of the model and the consumed node
-//!   results.
-//! * Workers race ahead and *pre-evaluate* frontier nodes. Node evaluation
-//!   is a pure function of `(engine, node bounds, parent basis)`, so a
-//!   precomputed bundle is byte-identical to what the sequencer would have
-//!   computed inline; worker count and scheduling can change only how much
-//!   wall-clock the sequencer spends waiting, never the answer or the
-//!   metrics stream.
-//!
-//! Each node is evaluated in up to two stages:
-//!
-//! * **Stage A (warm)** — dual simplex from the parent's optimal basis
-//!   ([`RevisedEngine::solve_dual_from`]). After a branch tightens one
-//!   variable bound the parent basis stays dual feasible, so a few dual
-//!   pivots either prove the child infeasible or produce an objective bound.
-//!   A bound at least `PRUNE_MARGIN` above the incumbent prunes the node
-//!   without ever running stage B.
-//! * **Stage B (canonical)** — a cold two-phase primal solve. Its `x` drives
-//!   branching and incumbents for *every* surviving node, in warm and cold
-//!   configurations alike, which is what makes warm-started and cold runs
-//!   produce identical solutions: the warm stage only ever removes nodes
-//!   whose canonical bound would have pruned them anyway.
+//! One serial loop pops nodes in a fixed order — depth-first (most recent
+//! child first) until the first incumbent, then best-bound (lowest parent
+//! LP bound, deepest, earliest-created) — and solves each node's relaxation
+//! cold with the revised primal simplex ([`RevisedEngine::solve_primal`]).
+//! Every branching and incumbent decision is a pure function of the model,
+//! so the answer and the metrics it records are identical on every run.
 //!
 //! Child nodes run sparse bound propagation (interval arithmetic plus the
 //! one-hot / link-row indicator inference of [`crate::presolve`]) before
 //! entering the frontier, so provably-dead subtrees never cost an LP.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use coremap_obs as obs;
 
 use crate::model::{Model, VarKind};
 use crate::presolve::{self, IndicatorStructure, SparseRow};
-use crate::revised::{Basis, LpStats, RevisedEngine};
-use crate::simplex::{solve_lp_with_bland_switch, LpOutcome, LpProblem, LpRow, FEAS_TOL};
+use crate::revised::{LpStats, RevisedEngine};
+use crate::simplex::{LpOutcome, LpRow, FEAS_TOL};
 use crate::solution::{Solution, SolveStats, Status};
 use crate::SolveError;
 
-/// A warm bound must clear the incumbent by this much before it prunes a
-/// node on its own. Within the margin the canonical stage-B solve decides,
-/// so warm-started runs prune exactly the nodes a cold run would.
-const PRUNE_MARGIN: f64 = 1e-6;
-
 /// Default Dantzig→Bland anti-cycling switch (simplex pivots per LP solve).
 const DEFAULT_BLAND_SWITCH: usize = 2_000;
-
-/// LP engine driving the node relaxations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LpEngine {
-    /// Sparse revised simplex; children warm-start with the dual simplex
-    /// from their parent's optimal basis (default).
-    #[default]
-    RevisedWarm,
-    /// Sparse revised simplex, cold two-phase solve at every node.
-    RevisedCold,
-    /// Dense-tableau cold solve at every node (the pre-optimization
-    /// baseline, kept for differential tests and benchmarks).
-    DenseTableau,
-}
 
 /// Branch-and-bound configuration.
 #[derive(Debug, Clone)]
 pub struct BbConfig {
     /// Maximum nodes to explore before giving up.
     pub node_limit: usize,
-    /// Branching rule.
-    pub branching: Branching,
-    /// LP engine for the node relaxations.
-    pub engine: LpEngine,
-    /// Worker threads (`>= 2` enables speculative node evaluation; `0` and
-    /// `1` both mean serial). Results and metrics are byte-identical at any
-    /// worker count. Ignored by [`LpEngine::DenseTableau`].
-    pub workers: usize,
     /// Simplex pivots per LP solve before Bland's anti-cycling rule
-    /// engages. The counter is per solve: a warm-started child never
-    /// inherits its parent's pivot count. Exposed for cycling regression
-    /// tests; leave at the default otherwise.
+    /// engages. The counter is per solve: a child node never inherits its
+    /// parent's pivot count. Exposed for cycling regression tests; leave at
+    /// the default otherwise.
     pub bland_switch: usize,
 }
 
@@ -92,147 +41,27 @@ impl Default for BbConfig {
     fn default() -> Self {
         Self {
             node_limit: 200_000,
-            branching: Branching::MostFractional,
-            engine: LpEngine::default(),
-            workers: 1,
             bland_switch: DEFAULT_BLAND_SWITCH,
         }
     }
 }
 
-/// Variable selection rule for branching (ablated in the benchmarks).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Branching {
-    /// Branch on the integer variable whose LP value is closest to 0.5
-    /// fractionality.
-    MostFractional,
-    /// Branch on the first fractional integer variable by index.
-    FirstFractional,
-}
-
-/// Immutable per-solve context shared by the sequencer and the workers.
-struct SearchCtx<'a> {
-    model: &'a Model,
-    n: usize,
-    /// Dense objective (fixed summation order for exact incumbent values).
-    objective: Vec<f64>,
-    rows: Vec<LpRow>,
-    sparse_rows: Vec<SparseRow>,
-    kinds: Vec<VarKind>,
-    structure: IndicatorStructure,
-    /// `None` only for [`LpEngine::DenseTableau`].
-    revised: Option<RevisedEngine>,
-    engine: LpEngine,
-    /// Integer variables in branching order (descending priority, stable).
-    int_vars: Vec<usize>,
-    priorities: Vec<i32>,
-}
-
-/// A frontier node. Everything an evaluation needs is fixed at creation,
-/// which is what makes worker pre-evaluation pure.
-struct NodeData {
+/// A frontier node.
+struct Node {
     seq: u64,
     bounds: Vec<(f64, f64)>,
-    /// Canonical LP bound of the parent (best-bound ordering, cheap prune).
+    /// LP bound of the parent (best-bound ordering, cheap prune).
     parent_bound: f64,
     depth: usize,
-    /// Parent's optimal basis ([`LpEngine::RevisedWarm`] only).
-    parent_basis: Option<Arc<Basis>>,
-}
-
-/// Stage-A (warm dual) result inside an [`EvalBundle`].
-enum WarmStage {
-    /// No parent basis, or warm starts disabled.
-    NotAttempted,
-    /// The dual solve failed (singular start, iteration limit): fall back
-    /// to the cold path as if no basis existed.
-    Miss,
-    /// Dual-unbounded ray: the child is infeasible.
-    Infeasible(LpStats),
-    /// Re-optimized: objective bound for the subtree.
-    Bound(f64, LpStats),
-}
-
-/// Canonical cold-solve result.
-struct ColdEval {
-    outcome: LpOutcome,
-    basis: Option<Basis>,
-    stats: LpStats,
-}
-
-/// A node evaluation: warm stage plus, unless the warm stage already
-/// settled the node at the evaluation-time cutoff, the canonical cold
-/// stage. The cutoff only ever decreases, so a bundle whose cold stage was
-/// skipped is still settled at consumption time.
-struct EvalBundle {
-    warm: WarmStage,
-    cold: Option<ColdEval>,
-}
-
-/// Speculation state shared between the sequencer and the workers.
-struct SpecState {
-    inner: Mutex<SpecInner>,
-    cv: Condvar,
-}
-
-struct SpecInner {
-    /// Frontier nodes available for pre-evaluation.
-    queue: BTreeMap<u64, Arc<NodeData>>,
-    /// Nodes a worker is currently evaluating.
-    claimed: BTreeSet<u64>,
-    /// Finished pre-evaluations, keyed by node sequence number.
-    results: BTreeMap<u64, Result<EvalBundle, SolveError>>,
-    /// Nodes the sequencer has consumed or pruned; late worker results for
-    /// them are dropped.
-    retired: BTreeSet<u64>,
-    /// Current incumbent objective (`+inf` before the first incumbent).
-    cutoff: f64,
-    shutdown: bool,
-}
-
-impl SpecState {
-    fn new() -> Self {
-        Self {
-            inner: Mutex::new(SpecInner {
-                queue: BTreeMap::new(),
-                claimed: BTreeSet::new(),
-                results: BTreeMap::new(),
-                retired: BTreeSet::new(),
-                cutoff: f64::INFINITY,
-                shutdown: false,
-            }),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Poison-tolerant lock: `SpecInner` is valid after any unwind (workers
-    /// never leave it mid-update), so a poisoned mutex is recoverable.
-    fn lock(&self) -> MutexGuard<'_, SpecInner> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn wait<'a>(&self, g: MutexGuard<'a, SpecInner>) -> MutexGuard<'a, SpecInner> {
-        self.cv.wait(g).unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-/// Wakes every worker with the shutdown flag on scope exit, including
-/// error and panic unwinds, so `thread::scope` can always join.
-struct ShutdownGuard<'a>(&'a SpecState);
-
-impl Drop for ShutdownGuard<'_> {
-    fn drop(&mut self) {
-        self.0.lock().shutdown = true;
-        self.0.cv.notify_all();
-    }
 }
 
 /// The frontier, indexed both by creation order (depth-first phase) and by
 /// `(parent bound, depth, creation order)` (best-bound phase).
 #[derive(Default)]
 struct Frontier {
-    by_seq: BTreeMap<u64, Arc<NodeData>>,
+    by_seq: BTreeMap<u64, Node>,
     by_bound: BTreeSet<(u64, u64, u64)>,
+    next_seq: u64,
 }
 
 /// Order-preserving map from `f64` to `u64` (total order, `-inf` first).
@@ -245,14 +74,21 @@ fn f64_key(x: f64) -> u64 {
     }
 }
 
-fn bound_key(n: &NodeData) -> (u64, u64, u64) {
+fn bound_key(n: &Node) -> (u64, u64, u64) {
     // Lowest bound first; deeper first among equal bounds (finishes a dive
     // and finds incumbents sooner); earliest-created breaks remaining ties.
     (f64_key(n.parent_bound), u64::MAX - n.depth as u64, n.seq)
 }
 
 impl Frontier {
-    fn push(&mut self, node: Arc<NodeData>) {
+    fn push(&mut self, bounds: Vec<(f64, f64)>, parent_bound: f64, depth: usize) {
+        let node = Node {
+            seq: self.next_seq,
+            bounds,
+            parent_bound,
+            depth,
+        };
+        self.next_seq += 1;
         self.by_bound.insert(bound_key(&node));
         self.by_seq.insert(node.seq, node);
     }
@@ -260,7 +96,7 @@ impl Frontier {
     /// Depth-first (newest node) before the first incumbent, best-bound
     /// after: the dive finds a first incumbent quickly, best-bound then
     /// closes the gap with the fewest node evaluations.
-    fn pop(&mut self, have_incumbent: bool) -> Option<Arc<NodeData>> {
+    fn pop(&mut self, have_incumbent: bool) -> Option<Node> {
         let node = if have_incumbent {
             let &(_, _, seq) = self.by_bound.first()?;
             self.by_seq.remove(&seq)?
@@ -276,6 +112,7 @@ impl Frontier {
 /// Solves `model` by LP-based branch & bound.
 pub(crate) fn solve(model: &Model, cfg: &BbConfig) -> Result<Solution, SolveError> {
     let n = model.var_count();
+    // Dense objective: a fixed summation order for exact incumbent values.
     let mut objective = vec![0.0; n];
     for &(v, c) in &model.objective {
         objective[v.index()] = c;
@@ -302,66 +139,18 @@ pub(crate) fn solve(model: &Model, cfg: &BbConfig) -> Result<Solution, SolveErro
     // determinism.
     int_vars.sort_by_key(|&j| std::cmp::Reverse(model.vars[j].priority));
     let priorities: Vec<i32> = int_vars.iter().map(|&j| model.vars[j].priority).collect();
-    let revised = match cfg.engine {
-        LpEngine::DenseTableau => None,
-        _ => Some(RevisedEngine::from_parts(n, &objective, &rows)),
-    };
-    let ctx = SearchCtx {
-        model,
-        n,
-        objective,
-        rows,
-        sparse_rows,
-        kinds,
-        structure,
-        revised,
-        engine: cfg.engine,
-        int_vars,
-        priorities,
-    };
+    let engine = RevisedEngine::from_parts(n, &objective, &rows);
 
-    let speculative = cfg.workers >= 2 && cfg.engine != LpEngine::DenseTableau;
-    if !speculative {
-        return sequencer(&ctx, cfg, root_bounds, None);
-    }
-    let spec = SpecState::new();
-    std::thread::scope(|scope| {
-        let _guard = ShutdownGuard(&spec);
-        for _ in 0..cfg.workers - 1 {
-            scope.spawn(|| worker_loop(&ctx, &spec, cfg.bland_switch));
-        }
-        sequencer(&ctx, cfg, root_bounds, Some(&spec))
-    })
-}
-
-/// The deterministic main loop: pops nodes in a fixed order, consumes their
-/// evaluations (precomputed or inline) and is the only thread that records
-/// metrics or mutates search state.
-fn sequencer(
-    ctx: &SearchCtx<'_>,
-    cfg: &BbConfig,
-    root_bounds: Vec<(f64, f64)>,
-    spec: Option<&SpecState>,
-) -> Result<Solution, SolveError> {
     let mut stats = SolveStats::default();
     let mut incumbent: Option<(Vec<f64>, f64)> = None;
     let mut frontier = Frontier::default();
-    let mut next_seq = 0u64;
-    push_node(
-        &mut frontier,
-        spec,
-        &mut next_seq,
-        root_bounds,
-        f64::NEG_INFINITY,
-        0,
-        None,
-    );
+    frontier.push(root_bounds, f64::NEG_INFINITY, 0);
 
     while let Some(node) = frontier.pop(incumbent.is_some()) {
         if stats.nodes >= cfg.node_limit {
             return match incumbent {
                 Some((values, objective)) => {
-                    finish(ctx.model, values, objective, Status::Feasible, stats)
+                    finish(model, values, objective, Status::Feasible, stats)
                 }
                 None => Err(SolveError::NodeLimit),
             };
@@ -369,46 +158,17 @@ fn sequencer(
         stats.nodes += 1;
         obs::inc("ilp.bb.nodes");
 
-        // Prune on the parent's canonical bound before paying for any LP.
+        // Prune on the parent's bound before paying for any LP.
         if let Some((_, inc_obj)) = &incumbent {
             if node.parent_bound >= *inc_obj - 1e-9 {
                 obs::inc("ilp.bb.pruned");
-                retire(spec, node.seq);
                 continue;
             }
         }
 
-        let cutoff = incumbent.as_ref().map_or(f64::INFINITY, |&(_, o)| o);
-        let bundle = obtain(ctx, spec, &node, cutoff, cfg.bland_switch)?;
-
-        match bundle.warm {
-            WarmStage::NotAttempted | WarmStage::Miss => {}
-            WarmStage::Infeasible(st) => {
-                record_lp(&mut stats, &st);
-                obs::inc("ilp.bb.warm_start_hits");
-                continue;
-            }
-            WarmStage::Bound(za, st) => {
-                record_lp(&mut stats, &st);
-                obs::inc("ilp.bb.warm_start_hits");
-                if za >= cutoff + PRUNE_MARGIN {
-                    obs::inc("ilp.bb.pruned");
-                    continue;
-                }
-            }
-        }
-
-        // The warm stage either settled the node above or guarantees a cold
-        // stage is present; `None` here is unreachable, handled without
-        // panicking to honor the library's no-panic policy.
-        let Some(cold) = bundle.cold else { continue };
-        if ctx.engine == LpEngine::DenseTableau {
-            // The dense engine records its own pivot metrics.
-            stats.lp_iterations += cold.stats.pivots;
-        } else {
-            record_lp(&mut stats, &cold.stats);
-        }
-        let (x, bound) = match cold.outcome {
+        let lp = engine.solve_primal(&node.bounds, cfg.bland_switch)?;
+        record_lp(&mut stats, &lp.stats);
+        let (x, bound) = match lp.outcome {
             LpOutcome::Infeasible => continue,
             LpOutcome::Unbounded => return Err(SolveError::Unbounded),
             LpOutcome::Optimal { x, objective, .. } => (x, objective),
@@ -421,46 +181,33 @@ fn sequencer(
             }
         }
 
-        match select_branching(&x, &ctx.int_vars, &ctx.priorities, cfg.branching) {
+        match most_fractional(&x, &int_vars, &priorities) {
             None => {
                 // Integer feasible: round and recompute the objective
                 // exactly over the rounded point (fixed summation order).
                 let mut values = x;
-                for &j in &ctx.int_vars {
+                for &j in &int_vars {
                     values[j] = values[j].round();
                 }
-                let exact: f64 = values.iter().zip(&ctx.objective).map(|(v, c)| v * c).sum();
-                let improves = incumbent.as_ref().is_none_or(|&(_, inc)| exact < inc);
-                if improves {
+                let exact: f64 = values.iter().zip(&objective).map(|(v, c)| v * c).sum();
+                if incumbent.as_ref().is_none_or(|&(_, inc)| exact < inc) {
                     obs::inc("ilp.bb.incumbents");
                     incumbent = Some((values, exact));
-                    if let Some(spec) = spec {
-                        spec.lock().cutoff = exact;
-                    }
                 }
             }
             Some(j) => {
-                let v = x[j];
-                let floor = v.floor();
+                let floor = x[j].floor();
                 let (lb, ub) = node.bounds[j];
-                let basis = cold.basis.map(Arc::new);
                 let mut down = node.bounds.clone();
                 down[j] = (lb, floor.min(ub));
-                let mut up = node.bounds.clone();
+                let mut up = node.bounds;
                 up[j] = ((floor + 1.0).max(lb), ub);
                 // Up pushed first so the depth-first phase explores the
-                // down branch first, matching the serial dive order.
+                // down branch first.
                 for child in [up, down] {
-                    if let Some(tightened) = tighten_child(ctx, child) {
-                        push_node(
-                            &mut frontier,
-                            spec,
-                            &mut next_seq,
-                            tightened,
-                            bound,
-                            node.depth + 1,
-                            basis.clone(),
-                        );
+                    if let Some(tightened) = tighten_child(&sparse_rows, &kinds, &structure, child)
+                    {
+                        frontier.push(tightened, bound, node.depth + 1);
                     }
                 }
             }
@@ -468,7 +215,7 @@ fn sequencer(
     }
 
     match incumbent {
-        Some((values, objective)) => finish(ctx.model, values, objective, Status::Optimal, stats),
+        Some((values, objective)) => finish(model, values, objective, Status::Optimal, stats),
         None => Err(SolveError::Infeasible),
     }
 }
@@ -476,16 +223,15 @@ fn sequencer(
 /// Node-level presolve: branch-tightened child bounds run interval +
 /// indicator propagation; provably infeasible children are dropped before
 /// they ever reach the frontier. Returns the tightened bounds.
-fn tighten_child(ctx: &SearchCtx<'_>, mut bounds: Vec<(f64, f64)>) -> Option<Vec<(f64, f64)>> {
+fn tighten_child(
+    rows: &[SparseRow],
+    kinds: &[VarKind],
+    structure: &IndicatorStructure,
+    mut bounds: Vec<(f64, f64)>,
+) -> Option<Vec<(f64, f64)>> {
     let fixed_before = presolve::count_fixed(&bounds);
     let mut tightenings = 0u64;
-    let res = presolve::tighten_quiet(
-        &ctx.sparse_rows,
-        &ctx.kinds,
-        &ctx.structure,
-        &mut bounds,
-        &mut tightenings,
-    );
+    let res = presolve::tighten_quiet(rows, kinds, structure, &mut bounds, &mut tightenings);
     obs::add("ilp.presolve.tightenings", tightenings);
     match res {
         Ok(()) => {
@@ -499,209 +245,8 @@ fn tighten_child(ctx: &SearchCtx<'_>, mut bounds: Vec<(f64, f64)>) -> Option<Vec
     }
 }
 
-fn push_node(
-    frontier: &mut Frontier,
-    spec: Option<&SpecState>,
-    next_seq: &mut u64,
-    bounds: Vec<(f64, f64)>,
-    parent_bound: f64,
-    depth: usize,
-    parent_basis: Option<Arc<Basis>>,
-) {
-    let node = Arc::new(NodeData {
-        seq: *next_seq,
-        bounds,
-        parent_bound,
-        depth,
-        parent_basis,
-    });
-    *next_seq += 1;
-    if let Some(spec) = spec {
-        let mut g = spec.lock();
-        g.queue.insert(node.seq, Arc::clone(&node));
-        drop(g);
-        spec.cv.notify_all();
-    }
-    frontier.push(node);
-}
-
-/// Drops a node from the speculation state without consuming a result.
-fn retire(spec: Option<&SpecState>, seq: u64) {
-    if let Some(spec) = spec {
-        let mut g = spec.lock();
-        g.queue.remove(&seq);
-        g.results.remove(&seq);
-        g.retired.insert(seq);
-    }
-}
-
-/// Fetches the node's evaluation: a worker's precomputed bundle when one
-/// exists (waiting for it if in flight), the sequencer's own inline
-/// evaluation otherwise. Either way the bundle is the same pure function of
-/// the node, so worker count never changes what the sequencer consumes.
-fn obtain(
-    ctx: &SearchCtx<'_>,
-    spec: Option<&SpecState>,
-    node: &NodeData,
-    cutoff: f64,
-    bland_switch: usize,
-) -> Result<EvalBundle, SolveError> {
-    let Some(spec) = spec else {
-        return evaluate(ctx, node, cutoff, bland_switch);
-    };
-    let mut g = spec.lock();
-    g.queue.remove(&node.seq);
-    loop {
-        if let Some(r) = g.results.remove(&node.seq) {
-            g.retired.insert(node.seq);
-            return r;
-        }
-        if !g.claimed.contains(&node.seq) {
-            g.retired.insert(node.seq);
-            drop(g);
-            return evaluate(ctx, node, cutoff, bland_switch);
-        }
-        g = spec.wait(g);
-    }
-}
-
-/// Evaluates one node: warm dual stage (when a parent basis exists), then
-/// the canonical cold stage unless the warm stage already settled the node
-/// at `cutoff`. Pure: no metrics, no shared state.
-fn evaluate(
-    ctx: &SearchCtx<'_>,
-    node: &NodeData,
-    cutoff: f64,
-    bland_switch: usize,
-) -> Result<EvalBundle, SolveError> {
-    let mut warm = WarmStage::NotAttempted;
-    // Stage A runs only in the warm configuration; `RevisedCold` is the
-    // cold-resolve ablation arm and must not touch the parent basis.
-    if ctx.engine != LpEngine::RevisedWarm {
-        let cold = cold_eval(ctx, node, bland_switch)?;
-        return Ok(EvalBundle {
-            warm,
-            cold: Some(cold),
-        });
-    }
-    if let (Some(engine), Some(pb)) = (&ctx.revised, &node.parent_basis) {
-        match engine.solve_dual_from(&node.bounds, pb, bland_switch) {
-            Err(_) => warm = WarmStage::Miss,
-            Ok(out) => match out.outcome {
-                LpOutcome::Infeasible => {
-                    return Ok(EvalBundle {
-                        warm: WarmStage::Infeasible(out.stats),
-                        cold: None,
-                    });
-                }
-                LpOutcome::Optimal { objective: za, .. } => {
-                    if za >= cutoff + PRUNE_MARGIN {
-                        return Ok(EvalBundle {
-                            warm: WarmStage::Bound(za, out.stats),
-                            cold: None,
-                        });
-                    }
-                    warm = WarmStage::Bound(za, out.stats);
-                }
-                // The dual simplex never terminates unbounded; treat a
-                // malformed outcome as a miss rather than panicking.
-                LpOutcome::Unbounded => warm = WarmStage::Miss,
-            },
-        }
-    }
-    let cold = cold_eval(ctx, node, bland_switch)?;
-    Ok(EvalBundle {
-        warm,
-        cold: Some(cold),
-    })
-}
-
-/// Stage B: the canonical cold solve of the node's LP relaxation. Every
-/// branching and incumbent decision flows from this result alone.
-fn cold_eval(
-    ctx: &SearchCtx<'_>,
-    node: &NodeData,
-    bland_switch: usize,
-) -> Result<ColdEval, SolveError> {
-    match &ctx.revised {
-        Some(engine) => {
-            let out = engine.solve_primal(&node.bounds, bland_switch)?;
-            Ok(ColdEval {
-                outcome: out.outcome,
-                basis: out.basis,
-                stats: out.stats,
-            })
-        }
-        None => {
-            let lp = LpProblem {
-                n: ctx.n,
-                objective: ctx.objective.clone(),
-                rows: ctx.rows.clone(),
-                bounds: node.bounds.clone(),
-            };
-            let outcome = solve_lp_with_bland_switch(&lp, bland_switch)?;
-            let pivots = match &outcome {
-                LpOutcome::Optimal { iterations, .. } => *iterations,
-                _ => 0,
-            };
-            Ok(ColdEval {
-                outcome,
-                basis: None,
-                stats: LpStats {
-                    pivots,
-                    refactorizations: 0,
-                    bland_engaged: false,
-                },
-            })
-        }
-    }
-}
-
-/// Speculative worker: repeatedly claims a frontier node, evaluates it with
-/// the cutoff snapshotted at claim time (the cutoff only decreases, so a
-/// skipped cold stage stays valid) and posts the bundle for the sequencer.
-fn worker_loop(ctx: &SearchCtx<'_>, spec: &SpecState, bland_switch: usize) {
-    let mut g = spec.lock();
-    loop {
-        if g.shutdown {
-            return;
-        }
-        // Claim the node the sequencer will want soonest: newest during
-        // the depth-first phase, best-bound once an incumbent exists.
-        let candidate = if g.cutoff.is_finite() {
-            g.queue
-                .values()
-                .filter(|n| !g.claimed.contains(&n.seq))
-                .min_by_key(|n| bound_key(n))
-                .map(Arc::clone)
-        } else {
-            g.queue
-                .values()
-                .rev()
-                .find(|n| !g.claimed.contains(&n.seq))
-                .map(Arc::clone)
-        };
-        let Some(node) = candidate else {
-            g = spec.wait(g);
-            continue;
-        };
-        g.claimed.insert(node.seq);
-        let cutoff = g.cutoff;
-        drop(g);
-        let bundle = evaluate(ctx, &node, cutoff, bland_switch);
-        g = spec.lock();
-        g.claimed.remove(&node.seq);
-        if !g.retired.contains(&node.seq) {
-            g.results.insert(node.seq, bundle);
-        }
-        drop(g);
-        spec.cv.notify_all();
-        g = spec.lock();
-    }
-}
-
 /// Folds one LP solve's statistics into the search stats and the metrics
-/// registry (revised engine only; the dense engine self-records).
+/// registry.
 fn record_lp(stats: &mut SolveStats, lp: &LpStats) {
     stats.lp_iterations += lp.pivots;
     obs::add("ilp.simplex.pivots", lp.pivots as u64);
@@ -711,41 +256,28 @@ fn record_lp(stats: &mut SolveStats, lp: &LpStats) {
     }
 }
 
-fn select_branching(
-    x: &[f64],
-    int_vars: &[usize],
-    priorities: &[i32],
-    rule: Branching,
-) -> Option<usize> {
-    match rule {
-        Branching::FirstFractional => int_vars
-            .iter()
-            .copied()
-            .find(|&j| (x[j] - x[j].round()).abs() > FEAS_TOL * 10.0),
-        Branching::MostFractional => {
-            // `int_vars` is sorted by descending priority: take the most
-            // fractional variable within the first priority class that has
-            // any fractional variable.
-            let mut best = None;
-            let mut best_score = FEAS_TOL * 10.0;
-            let mut class: Option<i32> = None;
-            for (i, &j) in int_vars.iter().enumerate() {
-                if let Some(c) = class {
-                    if priorities[i] < c && best.is_some() {
-                        break;
-                    }
-                }
-                let f = x[j] - x[j].floor();
-                let score = f.min(1.0 - f);
-                if score > best_score {
-                    best_score = score;
-                    best = Some(j);
-                    class = Some(priorities[i]);
-                }
+/// The integer variable to branch on: the most fractional one within the
+/// first priority class that has any fractional variable (`int_vars` is
+/// sorted by descending priority). `None` when `x` is integer feasible.
+fn most_fractional(x: &[f64], int_vars: &[usize], priorities: &[i32]) -> Option<usize> {
+    let mut best = None;
+    let mut best_score = FEAS_TOL * 10.0;
+    let mut class: Option<i32> = None;
+    for (i, &j) in int_vars.iter().enumerate() {
+        if let Some(c) = class {
+            if priorities[i] < c && best.is_some() {
+                break;
             }
-            best
+        }
+        let f = x[j] - x[j].floor();
+        let score = f.min(1.0 - f);
+        if score > best_score {
+            best_score = score;
+            best = Some(j);
+            class = Some(priorities[i]);
         }
     }
+    best
 }
 
 fn finish(
@@ -761,19 +293,14 @@ fn finish(
         status,
         stats,
     };
-    if let Some(constraint) = sol.verify(model, 1e-5) {
-        return Err(SolveError::VerificationFailed {
-            constraint,
-            violation: f64::NAN,
-        });
-    }
+    sol.verify(model, 1e-5)?;
     Ok(sol)
 }
 
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
-    use super::{BbConfig, LpEngine};
+    use super::BbConfig;
     use crate::{Cmp, Model, SolveError, Status};
 
     #[test]
@@ -943,43 +470,6 @@ mod tests {
         m
     }
 
-    /// All engine configurations produce identical solutions: warm-started
-    /// and parallel searches consume canonical stage-B results only, so the
-    /// answer is a pure function of the model.
-    #[test]
-    fn engines_and_worker_counts_agree() {
-        let m = branching_model(5);
-        let cold = m
-            .solve_with_config(&BbConfig {
-                engine: LpEngine::RevisedCold,
-                ..BbConfig::default()
-            })
-            .unwrap();
-        for (engine, workers) in [
-            (LpEngine::RevisedWarm, 1),
-            (LpEngine::RevisedWarm, 4),
-            (LpEngine::RevisedCold, 8),
-        ] {
-            let sol = m
-                .solve_with_config(&BbConfig {
-                    engine,
-                    workers,
-                    ..BbConfig::default()
-                })
-                .unwrap();
-            let bits = |s: &crate::Solution| -> Vec<u64> {
-                s.values.iter().map(|v| v.to_bits()).collect()
-            };
-            assert_eq!(
-                bits(&sol),
-                bits(&cold),
-                "{engine:?} x{workers} diverged from cold serial"
-            );
-            assert_eq!(sol.objective().to_bits(), cold.objective().to_bits());
-            assert_eq!(sol.status(), cold.status());
-        }
-    }
-
     /// The anti-cycling pivot counter resets per LP solve: a tree whose
     /// *total* pivot count crosses the Bland switch must never engage it as
     /// long as each individual node solve stays below the threshold. A
@@ -1052,51 +542,10 @@ mod tests {
         m.minimize(obj);
         let sol = m
             .solve_with_config(&BbConfig {
+                node_limit: 1_000,
                 bland_switch: 0,
-                ..BbConfig::default()
             })
             .unwrap();
         assert!((sol.objective() - 12.0).abs() < 1e-6);
-    }
-
-    /// Warm-start hits are recorded whenever a child re-solves from its
-    /// parent's basis.
-    #[test]
-    fn warm_start_hits_recorded() {
-        let reg = std::sync::Arc::new(coremap_obs::Registry::new());
-        {
-            let _g = coremap_obs::install(reg.clone());
-            branching_model(5).solve().unwrap();
-        }
-        assert!(
-            reg.counter_value("ilp.bb.warm_start_hits") > 0,
-            "warm starts must register on a branching model"
-        );
-        assert!(reg.counter_value("ilp.bb.nodes") >= 3);
-        assert!(reg.counter_value("ilp.simplex.refactorizations") > 0);
-    }
-
-    /// Metrics are identical at any worker count: only the sequencer
-    /// records, and it consumes identical evaluations in identical order.
-    #[test]
-    fn metrics_identical_across_worker_counts() {
-        let mut exports = Vec::new();
-        for workers in [1usize, 4] {
-            let reg = std::sync::Arc::new(coremap_obs::Registry::new());
-            {
-                let _g = coremap_obs::install(reg.clone());
-                branching_model(6)
-                    .solve_with_config(&BbConfig {
-                        workers,
-                        ..BbConfig::default()
-                    })
-                    .unwrap();
-            }
-            exports.push(reg.to_json(false));
-        }
-        assert_eq!(
-            exports[0], exports[1],
-            "metrics must not depend on worker count"
-        );
     }
 }

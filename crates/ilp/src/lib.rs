@@ -14,13 +14,18 @@
 //!   minimization objective.
 //! * [`presolve`] — equality merging, bound tightening and constraint
 //!   deduplication, mapped transparently back to the original variables.
-//! * A dense **two-phase primal simplex** with Bland's anti-cycling rule for
-//!   the LP relaxations ([`simplex`]).
+//! * A sparse **revised simplex** (LU-factorized basis, implicit variable
+//!   bounds, Bland's anti-cycling rule) that solves every LP relaxation
+//!   cold with a two-phase primal.
 //! * **Branch & bound** on fractional integer variables with best-incumbent
-//!   pruning ([`solve`](Model::solve)).
+//!   pruning, run as one deterministic serial loop
+//!   ([`solve`](Model::solve)).
 //! * An independent exact feasibility [`verify`](Solution::verify) pass on
 //!   the final incumbent, so floating-point drift inside the simplex can
 //!   never silently produce an infeasible "solution".
+//!
+//! The dense tableau in [`simplex`] solves nothing in production; it is
+//! the reference the revised engine is tested against.
 //!
 //! ```
 //! use coremap_ilp::{Model, Cmp};
@@ -54,7 +59,7 @@ pub mod simplex;
 mod solution;
 mod sparse;
 
-pub use branch_bound::{BbConfig, Branching, LpEngine};
-pub use error::SolveError;
+pub use branch_bound::BbConfig;
+pub use error::{SolveError, Violation};
 pub use model::{Cmp, ExprBuilder, LinExpr, Model, Var, VarKind};
 pub use solution::{Solution, SolveStats, Status};

@@ -373,26 +373,8 @@ impl Model {
         branch_bound::solve(self, &cfg)
     }
 
-    /// Solves with an explicit branching rule (for ablation benchmarks).
-    ///
-    /// # Errors
-    ///
-    /// As for [`solve`](Self::solve).
-    pub fn solve_with_branching(
-        &self,
-        branching: crate::Branching,
-    ) -> Result<Solution, SolveError> {
-        let cfg = branch_bound::BbConfig {
-            branching,
-            ..Default::default()
-        };
-        branch_bound::solve(self, &cfg)
-    }
-
     /// Solves with full control over the branch-and-bound configuration:
-    /// LP engine, worker count, node limit, branching rule and the
-    /// anti-cycling switch. Results are byte-identical at any worker count
-    /// and across the warm-started and cold revised engines.
+    /// the node limit and the anti-cycling switch.
     ///
     /// # Errors
     ///

@@ -1,9 +1,10 @@
 //! Bounded-variable revised simplex over the sparse column store.
 //!
-//! This is the production LP engine behind branch & bound, replacing the
-//! dense tableau in [`crate::simplex`] (which is kept as the differential /
-//! benchmark baseline). Differences that matter for speed on the
-//! reconstruction ILP:
+//! This is the LP engine behind branch & bound: every node's relaxation is
+//! a cold two-phase primal solve ([`RevisedEngine::solve_primal`]). The
+//! dense tableau in [`crate::simplex`] is kept only as the reference the
+//! differential test below compares against. Differences that matter for
+//! speed on the reconstruction ILP:
 //!
 //! * **Bounds are handled implicitly.** A nonbasic variable may sit at its
 //!   lower *or* upper bound; the dense solver instead materializes every
@@ -13,26 +14,18 @@
 //!   product-form eta updates; each iteration costs two sparse triangular
 //!   solves plus a sparse pricing pass instead of an `m × n` tableau
 //!   update.
-//! * **Warm starts.** [`RevisedEngine::solve_dual_from`] re-solves from a
-//!   caller-supplied basis with the dual simplex. After branch & bound
-//!   tightens one variable bound, the parent's optimal basis stays dual
-//!   feasible, so a handful of dual pivots replace a full two-phase cold
-//!   solve — and a dual-unbounded ray proves the child infeasible without
-//!   ever building a phase-1 problem.
 //!
 //! Anti-cycling follows the dense engine's design: Dantzig pricing until a
 //! per-solve pivot counter crosses the caller's Bland switch threshold,
 //! then Bland's rule. The counter spans both phases of one LP solve and is
-//! *reset for every solve*, so a warm-started B&B child can never inherit a
-//! stale cycling flag from its parent's solve (see the regression tests in
+//! *reset for every solve*, so a B&B child can never inherit a stale
+//! cycling flag from its parent's solve (see the regression tests in
 //! `branch_bound`).
 //!
 //! Determinism: every scan runs in ascending index order with explicit
 //! tie-breaks and the summation order of every dot product is fixed by the
-//! column store, so a solve is a pure function of `(problem, bounds,
-//! basis)`. The parallel B&B driver relies on this to keep results
-//! byte-identical at any worker count. No wall-clock, no hashing, no
-//! randomness.
+//! column store, so a solve is a pure function of `(problem, bounds)`. No
+//! wall-clock, no hashing, no randomness.
 
 use crate::lu::Factorization;
 #[cfg(test)]
@@ -47,7 +40,7 @@ const RATIO_EPS: f64 = 1e-10;
 
 /// Where a column currently sits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ColStatus {
+enum ColStatus {
     /// In the basis; value tracked in `xb`.
     Basic,
     /// Nonbasic at its (finite) lower bound.
@@ -56,18 +49,7 @@ pub(crate) enum ColStatus {
     AtUpper,
 }
 
-/// A basis snapshot: enough to warm-start a re-solve after bound changes.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct Basis {
-    /// Column occupying each row slot.
-    pub basic: Vec<usize>,
-    /// Status of every column (structural, slack and artificial).
-    pub status: Vec<ColStatus>,
-}
-
-/// Per-solve statistics, returned to the caller instead of being recorded
-/// into the metrics registry — worker threads must stay observation-free so
-/// metrics stay worker-count independent (only the sequencer records).
+/// Per-solve statistics, returned to the caller, which records them.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct LpStats {
     /// Simplex iterations (basis changes and bound flips).
@@ -83,8 +65,6 @@ pub(crate) struct LpStats {
 pub(crate) struct RevisedOutcome {
     /// Optimal / infeasible / unbounded, with structural values on success.
     pub outcome: LpOutcome,
-    /// Basis snapshot at optimality (for warm-starting children).
-    pub basis: Option<Basis>,
     /// Solve statistics.
     pub stats: LpStats,
 }
@@ -92,7 +72,7 @@ pub(crate) struct RevisedOutcome {
 /// The immutable part of an LP shared across branch-and-bound nodes: the
 /// sparse matrix (structural + slack + artificial columns), costs and
 /// right-hand sides. Only variable bounds change per node; they are passed
-/// to each solve. Shared by `&` across the speculative worker threads.
+/// to each solve.
 #[derive(Debug)]
 pub(crate) struct RevisedEngine {
     m: usize,
@@ -136,9 +116,7 @@ impl RevisedEngine {
                 Cmp::Eq => (0.0, 0.0),
             });
             columns[n + i].push((i, 1.0));
-            // Artificial columns have a stable identity (one per row, unit
-            // coefficient) so that a parent basis containing a residual
-            // artificial — pinned to zero — warm-starts children verbatim.
+            // One phase-1 artificial per row, unit coefficient.
             columns[n + m + i].push((i, 1.0));
         }
         let mut cost = vec![0.0; ncols];
@@ -273,7 +251,6 @@ impl RevisedEngine {
                 stats = st.stats;
                 return Ok(RevisedOutcome {
                     outcome: LpOutcome::Infeasible,
-                    basis: None,
                     stats,
                 });
             }
@@ -291,61 +268,9 @@ impl RevisedEngine {
         match st.run_primal(&cost, bland_switch, iter_limit)? {
             PhaseEnd::Unbounded => Ok(RevisedOutcome {
                 outcome: LpOutcome::Unbounded,
-                basis: None,
                 stats: st.stats,
             }),
             PhaseEnd::Optimal => Ok(st.extract()),
-        }
-    }
-
-    /// Warm re-solve: dual simplex starting from `start` (typically the
-    /// parent node's optimal basis) under new `bounds`. The basis is dual
-    /// feasible because costs and the matrix are unchanged; primal
-    /// infeasibilities introduced by the tightened bounds are repaired by
-    /// dual pivots. A dual-unbounded ray proves infeasibility.
-    ///
-    /// # Errors
-    ///
-    /// [`SolveError::IterationLimit`] on the pivot safety limit or a
-    /// numerically singular starting basis — callers treat any error as a
-    /// warm-start miss and fall back to the cold path.
-    pub fn solve_dual_from(
-        &self,
-        bounds: &[(f64, f64)],
-        start: &Basis,
-        bland_switch: usize,
-    ) -> Result<RevisedOutcome, SolveError> {
-        let stats = LpStats::default();
-        if self.m == 0 {
-            return Ok(self.trivial_solution(bounds, stats));
-        }
-        debug_assert_eq!(start.basic.len(), self.m);
-        debug_assert_eq!(start.status.len(), self.ncols);
-        let (lower, upper) = self.column_bounds(bounds);
-        let basis_cols = self.gather_basis_columns(&start.basic);
-        let fact = Factorization::factor(&basis_cols).map_err(|_| SolveError::IterationLimit)?;
-        let mut st = SolveState {
-            eng: self,
-            lower,
-            upper,
-            basic: start.basic.clone(),
-            status: start.status.clone(),
-            xb: Vec::new(),
-            fact,
-            stats: LpStats {
-                refactorizations: 1,
-                ..LpStats::default()
-            },
-        };
-        st.recompute_xb();
-        let cost = self.cost.clone();
-        match st.run_dual(&cost, bland_switch, self.iter_limit())? {
-            DualEnd::Infeasible => Ok(RevisedOutcome {
-                outcome: LpOutcome::Infeasible,
-                basis: None,
-                stats: st.stats,
-            }),
-            DualEnd::PrimalFeasible => Ok(st.extract()),
         }
     }
 
@@ -375,25 +300,12 @@ impl RevisedEngine {
             })
             .collect();
         let objective = x.iter().zip(&self.cost).map(|(a, b)| a * b).sum();
-        let status: Vec<ColStatus> = (0..self.ncols)
-            .map(|j| {
-                if j < self.n && self.cost[j] < 0.0 {
-                    ColStatus::AtUpper
-                } else {
-                    ColStatus::AtLower
-                }
-            })
-            .collect();
         RevisedOutcome {
             outcome: LpOutcome::Optimal {
                 x,
                 objective,
                 iterations: 0,
             },
-            basis: Some(Basis {
-                basic: Vec::new(),
-                status,
-            }),
             stats,
         }
     }
@@ -418,12 +330,7 @@ enum PhaseEnd {
     Unbounded,
 }
 
-enum DualEnd {
-    PrimalFeasible,
-    Infeasible,
-}
-
-/// Mutable solver state threaded through the primal/dual iteration loops.
+/// Mutable solver state threaded through the primal iteration loop.
 struct SolveState<'a> {
     eng: &'a RevisedEngine,
     lower: Vec<f64>,
@@ -596,151 +503,7 @@ impl SolveState<'_> {
         }
     }
 
-    /// Dual simplex iterations until primal feasibility (optimal, since the
-    /// start is dual feasible) or a dual-unbounded ray (primal infeasible).
-    fn run_dual(
-        &mut self,
-        cost: &[f64],
-        bland_switch: usize,
-        iter_limit: usize,
-    ) -> Result<DualEnd, SolveError> {
-        let m = self.eng.m;
-        let mut y = Vec::new();
-        let mut rho = Vec::new();
-        let mut w = Vec::new();
-        let mut unit = vec![0.0; m];
-        let mut col_dense = vec![0.0; m];
-        loop {
-            if self.stats.pivots >= iter_limit {
-                return Err(SolveError::IterationLimit);
-            }
-            let bland = self.stats.pivots > bland_switch;
-            if bland {
-                self.stats.bland_engaged = true;
-            }
-
-            // Leaving: the basic variable most outside its bounds (Bland:
-            // the smallest basic column index among the violated).
-            let mut leave: Option<(usize, bool)> = None; // (slot, below)
-            let mut best_viol = FEAS_TOL;
-            let mut best_col = usize::MAX;
-            for i in 0..m {
-                let (lo, hi) = (self.lower[self.basic[i]], self.upper[self.basic[i]]);
-                let (viol, below) = if self.xb[i] < lo {
-                    (lo - self.xb[i], true)
-                } else if self.xb[i] > hi {
-                    (self.xb[i] - hi, false)
-                } else {
-                    continue;
-                };
-                if bland {
-                    if viol > FEAS_TOL && self.basic[i] < best_col {
-                        best_col = self.basic[i];
-                        leave = Some((i, below));
-                    }
-                } else if viol > best_viol {
-                    best_viol = viol;
-                    leave = Some((i, below));
-                }
-            }
-            let Some((r, below)) = leave else {
-                return Ok(DualEnd::PrimalFeasible);
-            };
-
-            // Pivot row ρ = eᵣᵀ B⁻¹ and current duals y.
-            unit.iter_mut().for_each(|v| *v = 0.0);
-            unit[r] = 1.0;
-            self.fact.btran(&unit, &mut rho);
-            let cb = self.c_basic(cost);
-            self.fact.btran(&cb, &mut y);
-
-            // Dual ratio test: among sign-compatible nonbasic columns pick
-            // the one with the smallest |d_j| / |α_j|.
-            let mut enter: Option<(usize, f64)> = None; // (col, alpha)
-            let mut best_ratio = f64::INFINITY;
-            for (j, &cj) in cost.iter().enumerate().take(self.eng.ncols) {
-                if self.status[j] == ColStatus::Basic || self.lower[j] >= self.upper[j] {
-                    continue;
-                }
-                let alpha = self.eng.cols.col_dot(j, &rho);
-                let compatible = match (below, self.status[j]) {
-                    // x_Br must increase: raise an at-lower var with α < 0
-                    // or drop an at-upper var with α > 0 — and vice versa.
-                    (true, ColStatus::AtLower) => alpha < -PIVOT_TOL,
-                    (true, ColStatus::AtUpper) => alpha > PIVOT_TOL,
-                    (false, ColStatus::AtLower) => alpha > PIVOT_TOL,
-                    (false, ColStatus::AtUpper) => alpha < -PIVOT_TOL,
-                    (_, ColStatus::Basic) => false,
-                };
-                if !compatible {
-                    continue;
-                }
-                let d = cj - self.eng.cols.col_dot(j, &y);
-                let ratio = d.abs() / alpha.abs();
-                let take = match enter {
-                    None => true,
-                    Some((_, ea)) => {
-                        if bland {
-                            // Bland: `j` ascends, so keeping the first of
-                            // any ratio tie picks the smallest index.
-                            ratio < best_ratio - RATIO_EPS
-                        } else {
-                            ratio < best_ratio - RATIO_EPS
-                                || ((ratio - best_ratio).abs() <= RATIO_EPS
-                                    && alpha.abs() > ea.abs() + RATIO_EPS)
-                        }
-                    }
-                };
-                if take {
-                    best_ratio = ratio;
-                    enter = Some((j, alpha));
-                }
-            }
-            let Some((q, _alpha)) = enter else {
-                return Ok(DualEnd::Infeasible);
-            };
-
-            // Direction and primal step.
-            col_dense.iter_mut().for_each(|v| *v = 0.0);
-            self.eng.cols.col_axpy(q, 1.0, &mut col_dense);
-            self.fact.ftran(&col_dense, &mut w);
-            if w[r].abs() <= PIVOT_TOL {
-                // FTRAN disagrees with the pivot row — drift; refactor and
-                // retry. Counts as an iteration so the safety limit still
-                // bounds the loop.
-                self.refactor()?;
-                self.stats.pivots += 1;
-                continue;
-            }
-            let target = if below {
-                self.lower[self.basic[r]]
-            } else {
-                self.upper[self.basic[r]]
-            };
-            let delta = (self.xb[r] - target) / w[r];
-            for (i, &wi) in w.iter().enumerate() {
-                if wi != 0.0 {
-                    self.xb[i] -= delta * wi;
-                }
-            }
-            let leaving = self.basic[r];
-            self.status[leaving] = if below {
-                ColStatus::AtLower
-            } else {
-                ColStatus::AtUpper
-            };
-            let entering_value = nonbasic_value(self.status[q], self.lower[q], self.upper[q]);
-            self.basic[r] = q;
-            self.status[q] = ColStatus::Basic;
-            self.xb[r] = entering_value + delta;
-            if self.fact.update(r, &w).is_err() {
-                self.refactor()?;
-            }
-            self.stats.pivots += 1;
-        }
-    }
-
-    /// Builds the optimal outcome: structural values, objective, basis.
+    /// Builds the optimal outcome: structural values and objective.
     fn extract(self) -> RevisedOutcome {
         let eng = self.eng;
         let mut values = vec![0.0; eng.ncols];
@@ -760,10 +523,6 @@ impl SolveState<'_> {
                 objective,
                 iterations: self.stats.pivots,
             },
-            basis: Some(Basis {
-                basic: self.basic,
-                status: self.status,
-            }),
             stats: self.stats,
         }
     }
@@ -978,57 +737,6 @@ mod tests {
         };
         assert!((a - b).abs() < 1e-6);
         assert!(with_bland.stats.bland_engaged);
-    }
-
-    #[test]
-    fn dual_warm_start_matches_cold_after_bound_tightening() {
-        // Knapsack-ish LP; tighten x0's upper bound and re-solve warm.
-        let p = lp(
-            3,
-            vec![-10.0, -13.0, -7.0],
-            vec![LpRow {
-                coeffs: vec![(0, 3.0), (1, 4.0), (2, 2.0)],
-                cmp: Cmp::Le,
-                rhs: 6.0,
-            }],
-            vec![(0.0, 1.0); 3],
-        );
-        let eng = RevisedEngine::new(&p);
-        let cold = eng.solve_primal(&p.bounds, BLAND).unwrap();
-        let basis = cold.basis.unwrap();
-        let mut tightened = p.bounds.clone();
-        tightened[0] = (0.0, 0.0);
-        let warm = eng.solve_dual_from(&tightened, &basis, BLAND).unwrap();
-        let cold2 = eng.solve_primal(&tightened, BLAND).unwrap();
-        let (LpOutcome::Optimal { objective: a, .. }, LpOutcome::Optimal { objective: b, .. }) =
-            (warm.outcome, cold2.outcome)
-        else {
-            panic!("expected optimal outcomes");
-        };
-        assert!((a - b).abs() < 1e-6, "warm {a} vs cold {b}");
-    }
-
-    #[test]
-    fn dual_warm_start_detects_infeasible_child() {
-        // x + y >= 2 with both forced to 0 is infeasible.
-        let p = lp(
-            2,
-            vec![1.0, 1.0],
-            vec![LpRow {
-                coeffs: vec![(0, 1.0), (1, 1.0)],
-                cmp: Cmp::Ge,
-                rhs: 2.0,
-            }],
-            vec![(0.0, 5.0), (0.0, 5.0)],
-        );
-        let eng = RevisedEngine::new(&p);
-        let cold = eng.solve_primal(&p.bounds, BLAND).unwrap();
-        let basis = cold.basis.unwrap();
-        let infeasible_bounds = vec![(0.0, 0.0), (0.0, 0.0)];
-        let warm = eng
-            .solve_dual_from(&infeasible_bounds, &basis, BLAND)
-            .unwrap();
-        assert!(matches!(warm.outcome, LpOutcome::Infeasible));
     }
 
     /// Differential fuzz against the dense tableau engine on random LPs.

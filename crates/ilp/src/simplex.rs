@@ -1,9 +1,11 @@
-//! Dense two-phase primal simplex for the LP relaxations.
+//! Dense two-phase primal simplex: the reference LP solver.
 //!
-//! The LPs solved here are small (a few hundred rows/columns after the
-//! model-level merging performed by `coremap-core`), so a dense tableau with
-//! Dantzig pricing and a Bland's-rule anti-cycling fallback is simple,
-//! robust and fast enough.
+//! Branch & bound solves its relaxations with the sparse revised engine
+//! (`revised.rs`); this dense tableau with Dantzig pricing and a
+//! Bland's-rule anti-cycling fallback is kept because it is simple enough
+//! to trust, and the revised engine's differential test checks its optima
+//! against it. The shared LP types ([`LpRow`], [`LpProblem`],
+//! [`LpOutcome`]) and [`FEAS_TOL`] live here too.
 //!
 //! Standardization: every variable is shifted so its lower bound becomes 0;
 //! finite upper bounds become explicit `<=` rows; rows are scaled to a

@@ -1,7 +1,7 @@
 //! Solve results.
 
 use crate::model::{Cmp, Model, VarKind};
-use crate::Var;
+use crate::{SolveError, Var, Violation};
 
 /// Termination status of a solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,21 +71,39 @@ impl Solution {
         &self.values
     }
 
-    /// Independently re-checks this solution against `model`: integrality of
-    /// integer variables, variable bounds, and every constraint within
-    /// `tol`. Returns the index of the first violated constraint, if any.
+    /// Independently re-checks this solution against `model`: variable
+    /// bounds, integrality of integer variables, and every constraint
+    /// within `tol`.
     ///
     /// This is the safety net guarding against floating-point drift inside
     /// the simplex; [`Model::solve`] runs it automatically on the incumbent.
-    pub fn verify(&self, model: &Model, tol: f64) -> Option<usize> {
+    ///
+    /// # Errors
+    ///
+    /// [`SolveError::VerificationFailed`] naming the first violated bound,
+    /// integrality condition or constraint and by how much it is violated.
+    pub fn verify(&self, model: &Model, tol: f64) -> Result<(), SolveError> {
+        let check = |site, amount: f64| {
+            // NaN compares false against `tol`: count it as infinitely far
+            // out so a broken value can never pass.
+            let amount = if amount.is_nan() {
+                f64::INFINITY
+            } else {
+                amount
+            };
+            if amount > tol {
+                return Err(SolveError::VerificationFailed {
+                    site,
+                    violation: amount,
+                });
+            }
+            Ok(())
+        };
         for (j, vd) in model.vars.iter().enumerate() {
             let v = self.values[j];
-            if v < vd.lb - tol || v > vd.ub + tol {
-                return Some(usize::MAX - j);
-            }
-            if matches!(vd.kind, VarKind::Integer | VarKind::Binary) && (v - v.round()).abs() > tol
-            {
-                return Some(usize::MAX - j);
+            check(Violation::Bounds(Var(j)), (vd.lb - v).max(v - vd.ub))?;
+            if matches!(vd.kind, VarKind::Integer | VarKind::Binary) {
+                check(Violation::Integrality(Var(j)), (v - v.round()).abs())?;
             }
         }
         for (i, c) in model.constraints.iter().enumerate() {
@@ -94,62 +112,73 @@ impl Solution {
                 .iter()
                 .map(|&(v, coeff)| coeff * self.values[v.index()])
                 .sum();
-            let ok = match c.cmp {
-                Cmp::Le => lhs <= c.rhs + tol,
-                Cmp::Ge => lhs >= c.rhs - tol,
-                Cmp::Eq => (lhs - c.rhs).abs() <= tol,
+            let excess = match c.cmp {
+                Cmp::Le => lhs - c.rhs,
+                Cmp::Ge => c.rhs - lhs,
+                Cmp::Eq => (lhs - c.rhs).abs(),
             };
-            if !ok {
-                return Some(i);
-            }
+            check(Violation::Constraint(i), excess)?;
         }
-        None
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used)]
     use super::*;
     use crate::Cmp;
 
+    fn point(values: Vec<f64>) -> Solution {
+        Solution {
+            values,
+            objective: 0.0,
+            status: Status::Optimal,
+            stats: SolveStats::default(),
+        }
+    }
+
+    /// `x` integer in `[0, 5]`, `y` continuous in `[0, 10]`, `x + y <= 3`.
+    fn model() -> (Model, Var, Var) {
+        let mut m = Model::new();
+        let x = m.int_var("x", 0, 5);
+        let y = m.num_var("y", 0.0, 10.0);
+        m.constraint(m.expr().term(1.0, x).term(1.0, y), Cmp::Le, 3.0);
+        (m, x, y)
+    }
+
     #[test]
     fn verify_accepts_feasible_point() {
-        let mut m = Model::new();
-        let x = m.int_var("x", 0, 5);
-        m.constraint(m.expr().term(1.0, x), Cmp::Le, 3.0);
-        let sol = Solution {
-            values: vec![2.0],
-            objective: 0.0,
-            status: Status::Optimal,
-            stats: SolveStats::default(),
-        };
-        assert_eq!(sol.verify(&m, 1e-6), None);
+        let (m, _, _) = model();
+        assert_eq!(point(vec![2.0, 0.5]).verify(&m, 1e-6), Ok(()));
     }
 
     #[test]
-    fn verify_rejects_constraint_violation() {
-        let mut m = Model::new();
-        let x = m.int_var("x", 0, 5);
-        m.constraint(m.expr().term(1.0, x), Cmp::Le, 3.0);
-        let sol = Solution {
-            values: vec![4.0],
-            objective: 0.0,
-            status: Status::Optimal,
-            stats: SolveStats::default(),
-        };
-        assert_eq!(sol.verify(&m, 1e-6), Some(0));
-    }
-
-    #[test]
-    fn verify_rejects_fractional_integer() {
-        let mut m = Model::new();
-        let _x = m.int_var("x", 0, 5);
-        let sol = Solution {
-            values: vec![1.5],
-            objective: 0.0,
-            status: Status::Optimal,
-            stats: SolveStats::default(),
-        };
-        assert!(sol.verify(&m, 1e-6).is_some());
+    fn verify_names_each_violation_site_with_its_magnitude() {
+        let (m, x, y) = model();
+        let cases = [
+            (vec![0.0, -0.25], Violation::Bounds(y), 0.25),
+            (vec![1.5, 0.0], Violation::Integrality(x), 0.5),
+            (vec![2.0, 1.75], Violation::Constraint(0), 0.75),
+            (vec![f64::NAN, 0.0], Violation::Bounds(x), f64::INFINITY),
+        ];
+        for (values, want_site, want_by) in cases {
+            let err = point(values).verify(&m, 1e-6).unwrap_err();
+            // A non-NaN magnitude keeps the error equal to itself.
+            assert_eq!(err, err.clone());
+            let SolveError::VerificationFailed { site, violation } = err else {
+                panic!("expected a verification failure, got {err:?}");
+            };
+            assert_eq!(site, want_site);
+            assert!(
+                violation == want_by || (violation - want_by).abs() < 1e-12,
+                "{site}: {violation} != {want_by}"
+            );
+        }
+        let err = point(vec![2.0, 1.75]).verify(&m, 1e-6).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "incumbent violates constraint 0 by 7.500e-1"
+        );
     }
 }

@@ -128,43 +128,47 @@ fn replayed_campaign_reproduces_the_recorded_counters() {
     assert_eq!(replay_reg.counter_value("core.replay.divergences"), 0);
 }
 
-/// Maps one full SkylakeXcc machine with the given ILP worker count and
-/// returns the rendered map plus the deterministic metric snapshot.
-fn ilp_worker_snapshot(ilp_workers: usize) -> (String, String) {
-    use core_map::core::MapperConfig;
-
+/// Maps one `CloudFleet::with_seed(2022)` chip through the default mapper
+/// and returns its deterministic metric snapshot.
+fn fleet_chip_metrics(model: CpuModel, index: usize) -> Arc<obs::Registry> {
     let reg = Arc::new(obs::Registry::new());
-    let rendered = {
+    {
         let _guard = obs::install(reg.clone());
-        let plan = FloorplanBuilder::new(DieTemplate::SkylakeXcc)
-            .build()
-            .expect("floorplan");
-        let mut machine = XeonMachine::new(plan, MachineConfig::default());
-        let mapper = CoreMapper::with_config(MapperConfig {
-            ilp_workers,
-            ..MapperConfig::default()
-        });
-        mapper.map(&mut machine).expect("map").render()
-    };
-    (rendered, reg.to_json(false))
+        let instance = CloudFleet::with_seed(2022)
+            .instance(model, index)
+            .expect("instance");
+        let mut machine = instance.boot();
+        CoreMapper::new().map(&mut machine).expect("map");
+    }
+    reg
 }
 
 #[test]
-fn ilp_worker_count_changes_neither_map_nor_metrics() {
-    // The speculative parallel branch & bound must be invisible in every
-    // output: same placement, same metric stream, at any worker count.
-    let (serial_map, serial_metrics) = ilp_worker_snapshot(1);
-    let (parallel_map, parallel_metrics) = ilp_worker_snapshot(8);
-    assert_eq!(
-        serial_map, parallel_map,
-        "ILP worker count must not change the recovered map"
-    );
-    assert_eq!(
-        serial_metrics, parallel_metrics,
-        "ILP worker count must not leak into the deterministic snapshot"
-    );
-    for key in ["ilp.bb.nodes", "ilp.simplex.pivots"] {
-        assert!(serial_metrics.contains(key), "missing {key}");
+fn serial_cold_solver_work_is_pinned_per_chip() {
+    // One serial branch & bound with a cold revised-simplex solve per node:
+    // node, pivot and refactorization counts are exact functions of the
+    // observations, and the export carries no warm-start counter.
+    let expected = [
+        (CpuModel::Platinum8124M, 0, (5, 255, 7)),
+        (CpuModel::Platinum8175M, 1, (2, 170, 4)),
+        (CpuModel::Platinum8259CL, 0, (1, 0, 1)),
+        (CpuModel::Gold6354, 0, (2, 788, 13)),
+    ];
+    for (model, index, want) in expected {
+        let reg = fleet_chip_metrics(model, index);
+        let got = (
+            reg.counter_value("ilp.bb.nodes"),
+            reg.counter_value("ilp.simplex.pivots"),
+            reg.counter_value("ilp.simplex.refactorizations"),
+        );
+        assert_eq!(
+            got, want,
+            "{model} #{index}: (nodes, pivots, refactorizations)"
+        );
+        assert!(
+            !reg.to_json(false).contains("ilp.bb.warm_start_hits"),
+            "{model} #{index} exports a warm-start counter"
+        );
     }
 }
 
