@@ -51,10 +51,11 @@ fn main() {
         "ground-truth: {verified}/{count} exact relative matches, mean pairwise accuracy {mean_acc:.4}"
     );
     println!(
-        "\nThe sparse Ice Lake die leaves a few LLC-only edge tiles without any\n\
-         vertical observation (their whole column holds no other CHA), so their\n\
-         row is genuinely unrecoverable — the Sec. II-D partial-observability\n\
-         case; all observable relations are recovered (accuracy above).\n\
+        "\nEvery recovered map explains all of its observations. The misses place\n\
+         an LLC-only tile in a column that holds no core: it cannot sink\n\
+         traffic, and the only vertical observation of it comes from the other\n\
+         LLC-only tile there, which bounds its row without fixing it — the\n\
+         Sec. II-D partial-observability family.\n\
          Note the Ice Lake CHA numbering (row-major) differs from the Skylake\n\
          generation's column-major rule — the paper's motivation for an\n\
          autonomous method over per-generation pattern rules."

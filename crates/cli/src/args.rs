@@ -11,7 +11,7 @@ USAGE:
 
 COMMANDS:
     map       Map one fleet instance and print/store its core map
-    show      Render maps stored in a registry file
+    show      Render maps stored in a fleet database
     fleet     Survey a fleet model: pattern and ID-mapping statistics
     serve     Long-running map service on a Unix-domain socket
     channel   Send a message over the thermal covert channel
@@ -24,7 +24,8 @@ COMMON OPTIONS:
     --seed <N>                          fleet seed       [default: 2022]
 
 COMMAND OPTIONS:
-    map:      --registry <FILE>     append the result to a JSON registry
+    map:      --db <FILE>           store the result in a fleet database
+                                    (created if missing), keyed by PPIN
               --metrics <FILE>      write pipeline metrics as JSON
               --harden              aggressive fault tolerance (MSR retry,
                                     median-of-3 counters, degradation)
@@ -34,8 +35,7 @@ COMMAND OPTIONS:
               --topology-set <SET>  test a hypothesis set and keep the best
                                     fit: 'zoo' (all builtins) or a comma list
                                     of names/files
-    show:     --registry <FILE>     registry to read
-              --db <FILE>           fleet database to read (alternative)
+    show:     --db <FILE>           fleet database to read (required)
               --ppin <HEX>          render only this chip
     fleet:    --instances <N>       instances to survey [default: 10, > 0]
               --workers <N>         mapping worker threads [default: all cores]
@@ -73,18 +73,14 @@ pub enum Command {
         model: CpuModel,
         index: usize,
         seed: u64,
-        registry: Option<String>,
+        db: Option<String>,
         metrics: Option<String>,
         harden: bool,
         topology: Option<String>,
         topology_set: Option<String>,
     },
-    /// Render stored maps (from a registry or a fleet database).
-    Show {
-        registry: Option<String>,
-        db: Option<String>,
-        ppin: Option<u64>,
-    },
+    /// Render the maps stored in a fleet database.
+    Show { db: String, ppin: Option<u64> },
     /// Fleet survey.
     Fleet {
         model: CpuModel,
@@ -174,7 +170,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
     let mut model = CpuModel::Platinum8259CL;
     let mut index = 0usize;
     let mut seed = 2022u64;
-    let mut registry: Option<String> = None;
     let mut metrics: Option<String> = None;
     let mut ppin: Option<u64> = None;
     let mut instances = 10usize;
@@ -207,7 +202,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                     .parse()
                     .map_err(|_| "--seed must be a number".to_string())?
             }
-            "--registry" => registry = Some(o.value("--registry")?),
             "--metrics" => metrics = Some(o.value("--metrics")?),
             "--ppin" => {
                 let raw = o.value("--ppin")?;
@@ -248,17 +242,17 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             model,
             index,
             seed,
-            registry,
+            db,
             metrics,
             harden,
             topology,
             topology_set,
         }),
         "show" => {
-            if registry.is_none() && db.is_none() {
-                return Err("show requires --registry <FILE> or --db <FILE>".into());
-            }
-            Ok(Command::Show { registry, db, ppin })
+            let Some(db) = db else {
+                return Err("show requires --db <FILE>".into());
+            };
+            Ok(Command::Show { db, ppin })
         }
         "fleet" => {
             if resume && db.is_none() {
@@ -322,7 +316,7 @@ mod tests {
                 model: CpuModel::Platinum8259CL,
                 index: 0,
                 seed: 2022,
-                registry: None,
+                db: None,
                 metrics: None,
                 harden: false,
                 topology: None,
@@ -392,23 +386,43 @@ mod tests {
     }
 
     #[test]
-    fn show_requires_registry_or_db() {
-        assert!(parse(&argv("show")).is_err());
-        assert!(parse(&argv("show --registry maps.json")).is_ok());
-        assert!(matches!(
+    fn show_requires_db() {
+        assert_eq!(
+            parse(&argv("show")).unwrap_err(),
+            "show requires --db <FILE>"
+        );
+        assert_eq!(
             parse(&argv("show --db fleet.json")).unwrap(),
-            Command::Show { registry: None, db: Some(ref d), .. } if d == "fleet.json"
+            Command::Show {
+                db: "fleet.json".into(),
+                ppin: None
+            }
+        );
+    }
+
+    #[test]
+    fn map_parses_db() {
+        assert!(matches!(
+            parse(&argv("map --model 6354 --index 3 --db fleet.json")).unwrap(),
+            Command::Map { db: Some(ref d), index: 3, .. } if d == "fleet.json"
         ));
     }
 
     #[test]
+    fn registry_flag_is_gone() {
+        for cmd in ["map", "show --db fleet.json"] {
+            let err = parse(&argv(&format!("{cmd} --registry maps.json"))).unwrap_err();
+            assert_eq!(err, "unknown option '--registry'");
+        }
+    }
+
+    #[test]
     fn ppin_parses_hex() {
-        let cmd = parse(&argv("show --registry r.json --ppin 0xABC")).unwrap();
+        let cmd = parse(&argv("show --db f.json --ppin 0xABC")).unwrap();
         assert_eq!(
             cmd,
             Command::Show {
-                registry: Some("r.json".into()),
-                db: None,
+                db: "f.json".into(),
                 ppin: Some(0xABC)
             }
         );

@@ -2,13 +2,12 @@
 
 use std::error::Error;
 use std::fs::File;
-use std::io::{BufReader, BufWriter};
+use std::io::{BufReader, BufWriter, ErrorKind};
 use std::sync::Arc;
 
 use coremap_core::{verify, CoreMapper, MapQuality};
 use coremap_fleet::{
-    run_campaign, CloudFleet, CloudInstance, CpuModel, FleetDb, FleetRunner, MapRegistry,
-    SurveyStats,
+    run_campaign, CloudFleet, CloudInstance, CpuModel, FleetDb, FleetRunner, SurveyStats,
 };
 use coremap_mesh::{OsCoreId, Ppin, Topology};
 use coremap_obs as obs;
@@ -31,16 +30,16 @@ pub fn run(cmd: Command) -> CliResult {
             model,
             index,
             seed,
-            registry,
+            db,
             metrics,
             harden,
             topology,
             topology_set,
         } => {
             let hypotheses = build_hypotheses(model, &topology, &topology_set)?;
-            map(model, index, seed, registry, metrics, harden, hypotheses)
+            map(model, index, seed, db, metrics, harden, hypotheses)
         }
-        Command::Show { registry, db, ppin } => show(registry.as_deref(), db.as_deref(), ppin),
+        Command::Show { db, ppin } => show(&db, ppin),
         Command::Fleet {
             model,
             instances,
@@ -218,26 +217,72 @@ fn write_metrics(reg: &obs::Registry, path: &str) -> CliResult {
     Ok(())
 }
 
+/// Opens the fleet database at `path`; `None` when no file exists there.
+/// Any other failure (an unreadable path, a malformed or foreign-format
+/// file) is an error naming the path, returned before any work starts.
+pub(crate) fn open_db(path: &str) -> Result<Option<FleetDb>, Box<dyn Error>> {
+    let file = match File::open(path) {
+        Ok(f) => f,
+        Err(e) if e.kind() == ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(format!("{path}: {e}").into()),
+    };
+    let db = FleetDb::load(BufReader::new(file)).map_err(|e| format!("{path}: {e}"))?;
+    Ok(Some(db))
+}
+
+/// Saves `db` to `path` atomically: the JSON goes to `<path>.tmp` beside
+/// it, is flushed and synced, and only then renamed over `path`, so a
+/// failed or interrupted save leaves the previous file intact.
+pub(crate) fn save_db(db: &FleetDb, path: &str) -> CliResult {
+    let tmp = format!("{path}.tmp");
+    let write = || -> CliResult {
+        let mut out = BufWriter::new(File::create(&tmp)?);
+        db.save(&mut out)?;
+        out.into_inner()?.sync_all()?;
+        std::fs::rename(&tmp, path)?;
+        // The rename itself is durable only once the directory is synced.
+        #[cfg(unix)]
+        {
+            use std::path::Path;
+            let dir = Path::new(path)
+                .parent()
+                .filter(|d| !d.as_os_str().is_empty())
+                .unwrap_or(Path::new("."));
+            File::open(dir)?.sync_all()?;
+        }
+        Ok(())
+    };
+    write().map_err(|e| {
+        let _ = std::fs::remove_file(&tmp);
+        format!("{path}: {e}").into()
+    })
+}
+
 fn map(
     model: CpuModel,
     index: usize,
     seed: u64,
-    registry: Option<String>,
+    db_path: Option<String>,
     metrics: Option<String>,
     harden: bool,
     hypotheses: Vec<Topology>,
 ) -> CliResult {
+    let mut db = match &db_path {
+        Some(path) => open_db(path)?.unwrap_or_default(),
+        None => FleetDb::new(),
+    };
     let scope = metrics_scope(&metrics);
     let (_, map) = map_instance(model, index, seed, harden, hypotheses)?;
     println!("{}", map.render());
-    if let Some(path) = registry {
-        let mut reg = match File::open(&path) {
-            Ok(f) => MapRegistry::load(BufReader::new(f))?,
-            Err(_) => MapRegistry::new(),
-        };
-        reg.insert(map)?;
-        reg.save(BufWriter::new(File::create(&path)?))?;
-        println!("registry updated: {path} ({} chips)", reg.len());
+    if let Some(path) = db_path {
+        db.insert(model.label_map(map))?;
+        save_db(&db, &path)?;
+        println!(
+            "fleet database updated: {path} ({} chips sharing {} patterns, {} cached solves)",
+            db.len(),
+            db.pattern_count(),
+            db.solve_count()
+        );
     }
     if let (Some((reg, guard)), Some(path)) = (scope, metrics) {
         drop(guard);
@@ -246,47 +291,34 @@ fn map(
     Ok(())
 }
 
-fn show(registry: Option<&str>, db: Option<&str>, ppin: Option<u64>) -> CliResult {
-    // args.rs guarantees at least one source; a fleet database expands to
-    // the same PPIN-keyed view the registry offers.
-    let reg = match (registry, db) {
-        (Some(_), Some(_)) => {
-            return Err("--registry and --db are mutually exclusive".into());
+fn show(path: &str, ppin: Option<u64>) -> CliResult {
+    let db = open_db(path)?.ok_or_else(|| format!("{path}: no such fleet database"))?;
+    eprintln!(
+        "fleet database: {} chips sharing {} patterns, {} cached solves",
+        db.len(),
+        db.pattern_count(),
+        db.solve_count()
+    );
+    let maps: Vec<_> = match ppin {
+        Some(wanted) => {
+            let chip = Ppin::new(wanted);
+            let map = db
+                .get(chip)
+                .ok_or_else(|| format!("no map stored for PPIN {wanted:#x}"))?;
+            vec![(chip, map)]
         }
-        (Some(path), None) => MapRegistry::load(BufReader::new(File::open(path)?))?,
-        (None, Some(path)) => {
-            let fleet_db = FleetDb::load(BufReader::new(File::open(path)?))?;
-            eprintln!(
-                "fleet database: {} chips sharing {} patterns, {} cached solves",
-                fleet_db.len(),
-                fleet_db.pattern_count(),
-                fleet_db.solve_count()
-            );
-            fleet_db.to_registry()
-        }
-        (None, None) => return Err("show requires --registry <FILE> or --db <FILE>".into()),
+        None => db.iter().collect(),
     };
-    if reg.is_empty() {
-        println!("registry is empty");
-        return Ok(());
+    if maps.is_empty() {
+        println!("fleet database is empty");
     }
-    for (chip, map) in reg.iter() {
-        if let Some(wanted) = ppin {
-            if chip.value() != wanted {
-                continue;
-            }
-        }
+    for (chip, map) in maps {
         println!(
             "{chip}: {} cores / {} CHAs",
             map.core_count(),
             map.cha_count()
         );
         println!("{}", map.render());
-    }
-    if let Some(wanted) = ppin {
-        if reg.get(Ppin::new(wanted)).is_none() {
-            return Err(format!("no map stored for PPIN {wanted:#x}").into());
-        }
     }
     Ok(())
 }
@@ -358,10 +390,7 @@ fn fleet_campaign(
     db_path: &str,
     resume: bool,
 ) -> CliResult {
-    let mut db = match File::open(db_path) {
-        Ok(f) => FleetDb::load(BufReader::new(f))?,
-        Err(_) => FleetDb::new(),
-    };
+    let mut db = open_db(db_path)?.unwrap_or_default();
     let mut fleet = CloudFleet::with_seed(seed);
     if instances > model.paper_population() {
         fleet = fleet.with_population(instances);
@@ -408,7 +437,7 @@ fn fleet_campaign(
     if report.stats.failed > 0 {
         println!("  failed instances: {}", report.stats.failed);
     }
-    db.save(BufWriter::new(File::create(db_path)?))?;
+    save_db(&db, db_path)?;
     println!(
         "fleet database updated: {db_path} ({} chips sharing {} patterns, {} cached solves)",
         db.len(),

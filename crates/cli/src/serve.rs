@@ -8,12 +8,12 @@
 //! library so it is testable without a socket.
 
 use std::error::Error;
-use std::fs::File;
-use std::io::{BufReader, BufWriter};
 use std::path::Path;
 
 use coremap_fleet::{CloudFleet, CpuModel, FleetDb, FleetRunner, MapService};
 use coremap_mesh::Topology;
+
+use crate::commands::{mapper_for, open_db, save_db};
 
 type CliResult = Result<(), Box<dyn Error>>;
 
@@ -30,15 +30,12 @@ pub fn serve(
     hypotheses: Vec<Topology>,
 ) -> CliResult {
     let db = match db_path {
-        Some(path) => match File::open(path) {
-            Ok(f) => FleetDb::load(BufReader::new(f))?,
-            Err(_) => FleetDb::new(),
-        },
+        Some(path) => open_db(path)?.unwrap_or_default(),
         None => FleetDb::new(),
     };
     let workers = workers.unwrap_or(2);
     let fleet = CloudFleet::with_seed(seed);
-    let mapper = crate::commands::mapper_for(harden, hypotheses);
+    let mapper = mapper_for(harden, hypotheses);
     eprintln!(
         "serving {model} maps on {socket} with {workers} worker(s) ({} chips, {} solves warm)...",
         db.len(),
@@ -50,7 +47,7 @@ pub fn serve(
     // Persist what the campaigns learned, then the service metrics.
     if let Some(path) = db_path {
         let db = service.db_snapshot();
-        db.save(BufWriter::new(File::create(path)?))?;
+        save_db(&db, path)?;
         eprintln!(
             "fleet database updated: {path} ({} chips sharing {} patterns, {} cached solves)",
             db.len(),

@@ -44,29 +44,88 @@ fn unknown_command_exits_nonzero_with_usage() {
     assert!(stderr.contains("USAGE"));
 }
 
-#[test]
-fn map_verify_and_registry_round_trip() {
-    let dir = std::env::temp_dir().join(format!("coremap-cli-test-{}", std::process::id()));
+/// A fresh scratch directory for one test.
+fn scratch_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("coremap-cli-test-{}-{tag}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let registry = dir.join("maps.json");
-    let registry_str = registry.to_str().expect("utf8 path");
+    dir
+}
 
-    let (ok, stdout, stderr) = run(&["map", "--model", "8124m", "--registry", registry_str]);
+#[test]
+fn map_verify_and_db_round_trip() {
+    let dir = scratch_dir("map");
+    let db = dir.join("fleet.json");
+    let db_str = db.to_str().expect("utf8 path");
+
+    let (ok, stdout, stderr) = run(&["map", "--model", "8124m", "--db", db_str]);
     assert!(ok, "map failed: {stderr}");
     assert!(stdout.contains("IMC"), "rendered grid expected: {stdout}");
-    assert!(registry.exists());
+    assert!(stdout.contains("fleet database updated"), "{stdout}");
+    assert!(db.exists());
+    assert!(
+        !dir.join("fleet.json.tmp").exists(),
+        "save leaves no temp file"
+    );
 
-    let (ok, stdout, _) = run(&["show", "--registry", registry_str]);
+    let (ok, stdout, _) = run(&["show", "--db", db_str]);
     assert!(ok);
     assert!(stdout.contains("18 cores"));
 
-    let (ok, _, stderr) = run(&["show", "--registry", registry_str, "--ppin", "0xdead"]);
+    let (ok, _, stderr) = run(&["show", "--db", db_str, "--ppin", "0xdead"]);
     assert!(!ok, "unknown PPIN must fail");
     assert!(stderr.contains("no map stored"));
+
+    let missing = dir.join("missing.json");
+    let (ok, _, stderr) = run(&["show", "--db", missing.to_str().unwrap()]);
+    assert!(!ok, "show of a missing database must fail");
+    assert!(stderr.contains("missing.json"), "{stderr}");
 
     let (ok, stdout, _) = run(&["verify", "--model", "8124m"]);
     assert!(ok);
     assert!(stdout.contains("pairwise accuracy"));
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn unusable_db_path_fails_before_the_campaign_and_names_the_path() {
+    let dir = scratch_dir("plainfile");
+    let plain = dir.join("plainfile");
+    std::fs::write(&plain, "not a directory").unwrap();
+    let db = plain.join("db.json");
+    let db_str = db.to_str().expect("utf8 path");
+
+    let (ok, stdout, stderr) = run(&["fleet", "--model", "8124m", "--db", db_str]);
+    assert!(!ok, "a db path under a plain file must fail");
+    assert!(!stderr.contains("campaigning over"), "{stderr}");
+    assert!(!stdout.contains("instances surveyed"), "{stdout}");
+    assert!(
+        stderr.contains(db_str),
+        "error must name the path: {stderr}"
+    );
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn single_chip_map_dedups_onto_the_campaign_db() {
+    let dir = scratch_dir("dedup");
+    let db = dir.join("db.json");
+    let db_str = db.to_str().expect("utf8 path");
+    let tmp = dir.join("db.json.tmp");
+
+    let campaign = ["fleet", "--model", "8124m", "--instances", "3"];
+    let (ok, _, stderr) = run(&[&campaign[..], &["--db", db_str]].concat());
+    assert!(ok, "fleet --db failed: {stderr}");
+    assert!(!tmp.exists(), "save leaves no temp file");
+    let before = std::fs::read(&db).unwrap();
+
+    // Chip #1 is already mapped: its labelled map is the stored pattern,
+    // so the save rewrites the file with the same bytes.
+    let (ok, _, stderr) = run(&["map", "--model", "8124m", "--index", "1", "--db", db_str]);
+    assert!(ok, "map --db failed: {stderr}");
+    assert!(!tmp.exists(), "save leaves no temp file");
+    assert_eq!(std::fs::read(&db).unwrap(), before);
 
     std::fs::remove_dir_all(&dir).ok();
 }

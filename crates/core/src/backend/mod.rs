@@ -1,7 +1,7 @@
 //! Machine backends: the seam under the measurement pipeline.
 //!
 //! Every step of the methodology (`eviction`, `cha_map`, `traffic`,
-//! `calibrate`, [`CoreMapper`](crate::CoreMapper)) is generic over
+//! [`CoreMapper`](crate::CoreMapper)) is generic over
 //! [`MachineBackend`], the trait naming the primitives a machine under
 //! measurement must provide. The reference implementation is the simulated
 //! [`XeonMachine`](coremap_uncore::XeonMachine); this module ships three

@@ -356,6 +356,11 @@ fn reconstruct_mesh(
         }
     }
     let mut pair_mids: BTreeMap<(usize, usize), BTreeSet<usize>> = BTreeMap::new();
+    // `apart[x * n + y]`: column classes x and y are known to be distinct
+    // columns. The horizontal observers of a path and its sink are distinct
+    // tiles on the sink's row, and the source's column lies outside their
+    // span, so all of them pairwise occupy distinct columns.
+    let mut apart = vec![false; n * n];
     if !horizontal_first {
         for p in &obs.paths {
             if p.horizontal.is_empty() {
@@ -374,6 +379,16 @@ fn reconstruct_mesh(
                     .filter(|&&k| k != p.sink)
                     .map(|&k| col_class[k.index()]),
             );
+            let on_path: Vec<usize> = [p.source, p.sink]
+                .iter()
+                .chain(&p.horizontal)
+                .map(|k| col_class[k.index()])
+                .collect();
+            for &x in &on_path {
+                for &y in &on_path {
+                    apart[x * n + y] |= x != y;
+                }
+            }
         }
     }
     // BTreeMap iteration is already in sorted class-pair order, so the
@@ -398,8 +413,18 @@ fn reconstruct_mesh(
             anchored = true;
         }
         let (ca, cb) = (col_var[&a], col_var[&b]);
-        // The span must clear all in-between classes: |C_a - C_b| > |mids|.
-        let span = mids.len() as f64 + 1.0;
+        // The span must clear every in-between column: |C_a - C_b| > the
+        // number of distinct columns among the mids. With sparse
+        // observations, mids seen on different paths may share a column,
+        // so count (greedily, in class order) only mids known to be apart
+        // from every mid already counted.
+        let mut distinct: Vec<usize> = Vec::with_capacity(mids.len());
+        for &m in &mids {
+            if distinct.iter().all(|&d| apart[m * n + d]) {
+                distinct.push(m);
+            }
+        }
+        let span = distinct.len() as f64 + 1.0;
         let east = model.expr().term(1.0, ca).term(-1.0, cb).term(-big, ne);
         model.constraint(east, Cmp::Le, -span);
         let west = model.expr().term(-1.0, ca).term(1.0, cb).term(-big, nw);
@@ -472,21 +497,69 @@ fn reconstruct_mesh(
     add_axis_indicators(&mut model, &cv, dim.cols, &mut obj);
     model.minimize(obj);
 
-    let sol = model.solve()?;
-
-    let positions = (0..n)
-        .map(|i| {
-            TileCoord::new(
-                sol.int_value(row_var[&row_class[i]]) as usize,
-                sol.int_value(col_var[&col_class[i]]) as usize,
-            )
-        })
-        .collect();
-    Ok(Reconstruction {
-        positions,
-        stats: sol.stats(),
-        objective: sol.objective(),
-    })
+    // ---- Tile distinctness, added lazily ---------------------------------
+    // Distinct CHAs occupy distinct tiles. A full observation set orders
+    // every pair, but a sparse one can leave two CHAs free to share a
+    // tile. Each colliding pair gets a separation cut (rows or columns
+    // differ, in either direction) and the model is re-solved; a solution
+    // without collisions adds nothing.
+    let big_s = 2.0 * dim.rows.max(dim.cols) as f64;
+    let mut stats = coremap_ilp::SolveStats::default();
+    loop {
+        let sol = model.solve()?;
+        stats.nodes += sol.stats().nodes;
+        stats.lp_iterations += sol.stats().lp_iterations;
+        let positions: Vec<TileCoord> = (0..n)
+            .map(|i| {
+                TileCoord::new(
+                    sol.int_value(row_var[&row_class[i]]) as usize,
+                    sol.int_value(col_var[&col_class[i]]) as usize,
+                )
+            })
+            .collect();
+        let mut collided = false;
+        for i in 0..n {
+            for j in (i + 1)..n {
+                if positions[i] != positions[j] {
+                    continue;
+                }
+                collided = true;
+                // The selectors (axis, dir) pick exactly one of four strict
+                // separations: R_i > R_j, R_j > R_i, C_i > C_j or C_j > C_i.
+                // Each row reads `hi - lo >= 1`, relaxed by `big_s` for
+                // every selector that does not match it.
+                let axis = model.bin_var("sep_axis");
+                let dir = model.bin_var("sep_dir");
+                let (ri, rj) = (row_var[&row_class[i]], row_var[&row_class[j]]);
+                let (ci, cj) = (col_var[&col_class[i]], col_var[&col_class[j]]);
+                for (hi, lo, axis_on, dir_on) in [
+                    (ri, rj, false, false),
+                    (rj, ri, false, true),
+                    (ci, cj, true, false),
+                    (cj, ci, true, true),
+                ] {
+                    let mut e = model.expr().term(1.0, lo).term(-1.0, hi);
+                    let mut rhs = -1.0;
+                    for (selector, on) in [(axis, axis_on), (dir, dir_on)] {
+                        if on {
+                            e = e.term(big_s, selector);
+                            rhs += big_s;
+                        } else {
+                            e = e.term(-big_s, selector);
+                        }
+                    }
+                    model.constraint(e, Cmp::Le, rhs);
+                }
+            }
+        }
+        if !collided {
+            return Ok(Reconstruction {
+                positions,
+                stats,
+                objective: sol.objective(),
+            });
+        }
+    }
 }
 
 /// The literal per-tile, per-path formulation of paper Sec. II-C, solved

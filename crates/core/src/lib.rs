@@ -51,7 +51,6 @@
 #![warn(missing_docs)]
 
 pub mod backend;
-pub mod calibrate;
 pub mod cha_map;
 mod coremap;
 mod error;

@@ -1,16 +1,21 @@
 //! The persistent fleet database: dedup'd patterns, a PPIN instance index
 //! and the solve cache, as one versioned JSON document.
 //!
-//! [`MapRegistry`](crate::MapRegistry) stores one full [`CoreMap`] per
-//! chip. At fleet scale that wastes the paper's own headline finding
-//! (Table II): thousands of instances share a handful of layouts.
-//! [`FleetDb`] is the grown-up form — each unique PPIN-stripped pattern is
-//! stored exactly once, instances are an index from PPIN to pattern, and
-//! the step-3 solve results are carried along keyed by their
-//! [`ObservationSignature`] so a later campaign starts warm. The on-disk
-//! format is versioned (`coremap-fleetdb/v1`) and built exclusively from
-//! ordered containers, so saving a database twice — or saving a loaded
-//! copy — produces byte-identical JSON.
+//! Mapping needs root, but the recovered locations are permanent per chip
+//! (paper Sec. IV): an attacker maps each rented chip once, keys the
+//! result by PPIN, and any later tenancy on a known chip reuses the map.
+//! One full [`CoreMap`] per chip would waste the paper's own headline
+//! finding (Table II): thousands of instances share a handful of layouts.
+//! So each unique PPIN-stripped pattern is stored exactly once, instances
+//! are an index from PPIN to pattern, and the step-3 solve results are
+//! carried along keyed by their [`ObservationSignature`] so a later
+//! campaign starts warm. This is the only on-disk map format: fleet
+//! campaigns, the serve daemon and single-chip `map --db` runs all read
+//! and write it.
+//!
+//! The format is versioned (`coremap-fleetdb/v1`) and built exclusively
+//! from ordered containers, so saving a database twice — or saving a
+//! loaded copy — produces byte-identical JSON.
 //!
 //! Resume semantics: a campaign run with `--resume` consults
 //! [`contains`](FleetDb::contains) before booting an instance and skips
@@ -24,13 +29,13 @@ use coremap_core::{CachedSolve, CoreMap, ObservationSignature};
 use coremap_mesh::Ppin;
 use serde::{Deserialize, Serialize};
 
-use crate::{FleetError, MapRegistry};
+use crate::FleetError;
 
 /// The on-disk format tag. Bump on incompatible change.
 pub const FLEETDB_FORMAT: &str = "coremap-fleetdb/v1";
 
 /// A dedup'd, resumable store of fleet mapping results.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FleetDb {
     /// Format tag, checked on load.
     version: String,
@@ -47,7 +52,9 @@ impl FleetDb {
     pub fn new() -> Self {
         Self {
             version: FLEETDB_FORMAT.to_owned(),
-            ..Self::default()
+            patterns: Vec::new(),
+            instances: BTreeMap::new(),
+            solves: BTreeMap::new(),
         }
     }
 
@@ -132,17 +139,6 @@ impl FleetDb {
         &self.solves
     }
 
-    /// Expands the database into a flat [`MapRegistry`] (one full map per
-    /// chip) for consumers of the legacy format.
-    pub fn to_registry(&self) -> MapRegistry {
-        let mut reg = MapRegistry::new();
-        for (_, map) in self.iter() {
-            // Maps out of `iter` always carry their PPIN.
-            let _ = reg.insert(map);
-        }
-        reg
-    }
-
     /// Serializes the database as versioned JSON. Deterministic: equal
     /// databases serialize to identical bytes.
     ///
@@ -177,6 +173,14 @@ impl FleetDb {
             }
         }
         Ok(db)
+    }
+}
+
+/// The empty database, as [`FleetDb::new`]: it carries the format tag, so
+/// what it saves loads back.
+impl Default for FleetDb {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -262,12 +266,12 @@ mod tests {
     }
 
     #[test]
-    fn registry_expansion_matches_instances() {
-        let mut db = FleetDb::new();
-        db.insert(map(5, 0)).unwrap();
-        db.insert(map(6, 0)).unwrap();
-        let reg = db.to_registry();
-        assert_eq!(reg.len(), 2);
-        assert_eq!(reg.get(Ppin::new(6)), Some(&map(6, 0)));
+    fn saved_default_database_loads_back() {
+        // Regression: a derived `Default` left the format tag empty, so
+        // `load` rejected everything a defaulted database saved.
+        let mut buf = Vec::new();
+        FleetDb::default().save(&mut buf).unwrap();
+        let back = FleetDb::load(buf.as_slice()).unwrap();
+        assert_eq!(back, FleetDb::new());
     }
 }

@@ -14,9 +14,7 @@
 //!   8259CL variants with their 62/33/1/1/1/1/1 split) and the location
 //!   pattern diversity of Table II (14 / 26 / 53 / 6 unique patterns with
 //!   the reported top-4 frequencies);
-//! * [`stats`] computes those tables back from *measured* maps, and
-//!   [`MapRegistry`] persists PPIN-keyed [`CoreMap`](coremap_core::CoreMap)s
-//!   the way an attacker would catalogue mapped instances;
+//! * [`stats`] computes those tables back from *measured* maps;
 //! * [`FleetRunner`] is the shared campaign harness: it walks a model's
 //!   instances with a work-queue worker pool, collects per-instance
 //!   `Result`s in instance order (worker-count-independent output, failures
@@ -26,9 +24,11 @@
 //! * the scale layer ([`run_campaign`]) exploits the tiny per-SKU pattern
 //!   diversity: a content-addressed, single-flight [`MapCache`] runs the
 //!   step-3 ILP once per unique observation signature, and the persistent
-//!   [`FleetDb`] (`coremap-fleetdb/v1`) dedups stored patterns, indexes
-//!   instances by PPIN and lets interrupted campaigns resume without
-//!   re-measuring mapped chips.
+//!   [`FleetDb`] (`coremap-fleetdb/v1`) catalogues mapped chips by PPIN
+//!   the way an attacker would (paper Sec. IV): it dedups stored
+//!   patterns, carries the cached solves and lets interrupted campaigns
+//!   resume without re-measuring mapped chips. It is the one on-disk map
+//!   format: single-chip `map --db` runs write into the same file.
 //!
 //! ```
 //! use coremap_fleet::{CloudFleet, CpuModel};
@@ -52,7 +52,6 @@ mod db;
 mod error;
 mod fleet;
 mod model;
-mod registry;
 pub mod render;
 mod runner;
 pub mod sampler;
@@ -65,6 +64,5 @@ pub use db::{FleetDb, FLEETDB_FORMAT};
 pub use error::FleetError;
 pub use fleet::{CloudFleet, CloudInstance};
 pub use model::CpuModel;
-pub use registry::MapRegistry;
 pub use runner::{FleetOutcome, FleetRunner, JobFailure, MappedInstance, SurveyStats};
 pub use serve::MapService;

@@ -2,6 +2,7 @@
 
 use std::fmt;
 
+use coremap_core::CoreMap;
 use coremap_mesh::{DieTemplate, Topology};
 use serde::{Deserialize, Serialize};
 
@@ -51,6 +52,18 @@ impl CpuModel {
         };
         // audit: allow(panic-safety): the builtin zoo statically contains every name listed above
         Topology::builtin(name).expect("builtin topology for every SKU")
+    }
+
+    /// Labels a recovered map the way fleet records are labelled: a
+    /// selection-path map keeps its winning hypothesis name, and a
+    /// declared-die map records this SKU's [`topology`](Self::topology).
+    /// A single-chip run that labels its map this way stores the same
+    /// pattern a campaign stores for that chip.
+    pub fn label_map(self, map: CoreMap) -> CoreMap {
+        match map.topology_name() {
+            Some(_) => map,
+            None => map.with_topology_name(self.topology().name()),
+        }
     }
 
     /// Enabled core count.

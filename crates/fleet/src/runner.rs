@@ -333,14 +333,7 @@ impl FleetRunner {
                     &format!("fleet.instance.{:04}.ops", instance.index()),
                     diag.machine_ops as f64,
                 );
-                // Selection-path maps already carry their winning
-                // hypothesis name; declared-die runs record the SKU's own
-                // topology so fleet records are uniformly labelled.
-                let m = match m.topology_name() {
-                    Some(_) => m,
-                    None => m.with_topology_name(model.topology().name()),
-                };
-                m.with_template(model.template())
+                model.label_map(m).with_template(model.template())
             })
         })
     }
@@ -380,12 +373,8 @@ impl FleetRunner {
                     &format!("fleet.instance.{:04}.ops", instance.index()),
                     diag.machine_ops as f64,
                 );
-                let m = match m.topology_name() {
-                    Some(_) => m,
-                    None => m.with_topology_name(model.topology().name()),
-                };
                 MappedInstance {
-                    map: m.with_template(model.template()),
+                    map: model.label_map(m).with_template(model.template()),
                     signature: diag.signature,
                     solve_cached: diag.solve_cached,
                 }

@@ -7,6 +7,7 @@
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
+use std::sync::Barrier;
 
 use coremap_core::CoreMapper;
 use coremap_fleet::serve::serve_unix;
@@ -106,31 +107,55 @@ fn concurrent_clients_produce_byte_identical_campaign_metrics() {
     assert_eq!(a, b);
 }
 
-#[test]
-fn warmed_daemon_serves_queries_with_full_hit_rate() {
+/// Warms a service with a three-chip campaign, then has `clients`
+/// concurrent connections (one acceptor each) query every mapped chip.
+fn warm_queries_hit_from_every_client(clients: usize) {
     let svc = service(2);
-    let path = socket_path("warm");
-    std::thread::scope(|scope| {
-        let daemon = scope.spawn(|| serve_unix(&svc, &path, 2));
-        let mut stream = connect(&path);
-        let reply = roundtrip(&mut stream, r#"{"cmd":"campaign","instances":3}"#);
-        assert!(reply.contains(r#""ok":true"#), "{reply}");
+    let reply = svc.handle_line(r#"{"cmd":"campaign","instances":3}"#);
+    assert!(reply.contains(r#""ok":true"#), "{reply}");
+    let db = svc.db_snapshot();
+    assert_eq!(db.len(), 3);
+    let nodes = svc.registry().counter_value("ilp.bb.nodes");
+    assert!(nodes > 0, "the campaign itself must have solved");
 
-        // Query every mapped chip back over the same connection.
-        let db = svc.db_snapshot();
-        assert_eq!(db.len(), 3);
-        for (ppin, _) in db.iter() {
-            let request = format!(r#"{{"cmd":"map-by-ppin","ppin":"{:x}"}}"#, ppin.value());
-            let reply = roundtrip(&mut stream, &request);
-            assert!(reply.contains(r#""ok":true"#), "{ppin}: {reply}");
-            assert!(reply.contains(&ppin.to_string()), "{reply}");
+    let path = socket_path(&format!("warm{clients}"));
+    let start = Barrier::new(clients);
+    std::thread::scope(|scope| {
+        let daemon = scope.spawn(|| serve_unix(&svc, &path, clients));
+        let client_handles: Vec<_> = (0..clients)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut stream = connect(&path);
+                    start.wait();
+                    for (ppin, _) in db.iter() {
+                        let request =
+                            format!(r#"{{"cmd":"map-by-ppin","ppin":"{:x}"}}"#, ppin.value());
+                        let reply = roundtrip(&mut stream, &request);
+                        assert!(reply.contains(r#""ok":true"#), "{ppin}: {reply}");
+                        assert!(reply.contains(&ppin.to_string()), "{reply}");
+                    }
+                })
+            })
+            .collect();
+        for h in client_handles {
+            h.join().unwrap();
         }
+        let hits = 3 * clients as u64;
+        assert_eq!(svc.registry().counter_value("serve.query.hits"), hits);
+        assert_eq!(svc.registry().counter_value("serve.query.misses"), 0);
+        assert_eq!(
+            svc.registry().counter_value("ilp.bb.nodes"),
+            nodes,
+            "queries must never trigger ILP solves"
+        );
+
         // Unknown chip: a miss, an error reply, no crash.
+        let mut stream = connect(&path);
         let reply = roundtrip(&mut stream, r#"{"cmd":"map-by-ppin","ppin":"0xffff"}"#);
         assert!(reply.contains(r#""ok":false"#), "{reply}");
 
         let stats = roundtrip(&mut stream, r#"{"cmd":"stats"}"#);
-        assert!(stats.contains(r#""hits":3"#), "{stats}");
+        assert!(stats.contains(&format!(r#""hits":{hits}"#)), "{stats}");
         assert!(stats.contains(r#""misses":1"#), "{stats}");
         assert!(stats.contains("latency_p99_us"), "{stats}");
 
@@ -138,8 +163,14 @@ fn warmed_daemon_serves_queries_with_full_hit_rate() {
         assert!(reply.contains("shutting_down"), "{reply}");
         daemon.join().unwrap().unwrap();
     });
-    assert_eq!(svc.registry().counter_value("serve.query.hits"), 3);
-    assert_eq!(svc.registry().counter_value("serve.query.misses"), 1);
+    assert!(!path.exists(), "socket file must be removed on shutdown");
+}
+
+#[test]
+fn warmed_daemon_serves_queries_with_full_hit_rate() {
+    for clients in [1, 4] {
+        warm_queries_hit_from_every_client(clients);
+    }
 }
 
 #[test]

@@ -19,8 +19,8 @@
 //! | `write_line` / `read_line` | pinned worker thread issuing volatile accesses to a hugepage-backed buffer with known physical addresses |
 //! | `flush_caches` | `wbinvd` (kernel helper) or a `clflush` sweep |
 //!
-//! All higher layers (`eviction`, `cha_map`, `traffic`, `calibrate`, the
-//! `CoreMapper`) are generic over this trait.
+//! All higher layers (`eviction`, `cha_map`, `traffic`, the `CoreMapper`)
+//! are generic over this trait.
 
 use coremap_mesh::{ChaId, GridDim, OsCoreId};
 

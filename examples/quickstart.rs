@@ -6,7 +6,7 @@
 //! ```
 
 use core_map::core::{verify, CoreMapper};
-use core_map::fleet::{CloudFleet, CpuModel, MapRegistry};
+use core_map::fleet::{CloudFleet, CpuModel, FleetDb};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A deterministic simulated cloud: instance 0 of the 24-core Cascade
@@ -30,10 +30,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The mapping requires root once per chip; the result is keyed by the
     // PPIN so later user-level tenancies can reuse it.
-    let mut registry = MapRegistry::new();
-    registry.insert(map)?;
+    let mut db = FleetDb::new();
+    db.insert(map)?;
     let mut json = Vec::new();
-    registry.save(&mut json)?;
-    println!("registry entry persisted ({} bytes of JSON)", json.len());
+    db.save(&mut json)?;
+    println!(
+        "fleet database entry persisted ({} bytes of JSON)",
+        json.len()
+    );
     Ok(())
 }

@@ -4,8 +4,8 @@
 // Test/bench harness: unwraps abort the harness, which is the desired failure mode.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use core_map::core::{verify, CoreMapper};
-use core_map::fleet::{CloudFleet, CpuModel, MapRegistry};
+use core_map::core::{verify, CoreMapper, MapperConfig};
+use core_map::fleet::{CloudFleet, CpuModel, FleetDb};
 use core_map::mesh::OsCoreId;
 
 #[test]
@@ -42,6 +42,40 @@ fn maps_every_model_accurately() {
 }
 
 #[test]
+fn subsampled_observations_are_still_explained() {
+    // With sparse observations, in-between column classes seen on
+    // different paths may share a physical column. The solver used to
+    // count every one of them in the horizontal span bound, which cut off
+    // the ground truth and declared these sets infeasible.
+    let fleet = CloudFleet::with_seed(2022);
+    let instance = fleet
+        .instance(CpuModel::Platinum8175M, 0)
+        .expect("instance 0");
+    let truth = instance.floorplan();
+    let truth_positions: Vec<_> = truth.chas().map(|c| truth.coord_of_cha(c)).collect();
+    for stride in [16, 32] {
+        let cfg = MapperConfig {
+            pair_stride: stride,
+            ..MapperConfig::default()
+        };
+        let mut machine = instance.boot();
+        let (map, diagnostics) = CoreMapper::with_config(cfg)
+            .map_with_diagnostics(&mut machine)
+            .unwrap_or_else(|e| panic!("stride {stride}: {e}"));
+        let observations = &diagnostics.observations;
+        assert!(
+            verify::observations_consistent(&truth_positions, observations, truth.dim()),
+            "stride {stride}: the ground truth explains every observed path"
+        );
+        let positions: Vec<_> = truth.chas().map(|c| map.coord_of_cha(c)).collect();
+        assert!(
+            verify::observations_consistent(&positions, observations, map.dim()),
+            "stride {stride}: map does not explain its own observations"
+        );
+    }
+}
+
+#[test]
 fn dense_skx_instance_matches_exactly() {
     // The full-die case has no hidden tiles, so recovery is exact (up to
     // the documented mirror).
@@ -58,26 +92,27 @@ fn dense_skx_instance_matches_exactly() {
 }
 
 #[test]
-fn registry_round_trips_recovered_maps() {
+fn fleet_db_round_trips_recovered_maps() {
     let fleet = CloudFleet::with_seed(5);
-    let mut registry = MapRegistry::new();
-    let mut ppins = Vec::new();
+    let mut db = FleetDb::new();
+    let mut mapped = Vec::new();
     for idx in 0..2 {
         let instance = fleet
             .instance(CpuModel::Platinum8124M, idx)
             .expect("instance");
         let mut machine = instance.boot();
         let map = CoreMapper::new().map(&mut machine).expect("maps");
-        ppins.push(instance.ppin());
-        registry.insert(map).expect("map carries a PPIN");
+        assert_eq!(map.ppin(), Some(instance.ppin()));
+        db.insert(map.clone()).expect("map carries a PPIN");
+        mapped.push(map);
     }
     let mut json = Vec::new();
-    registry.save(&mut json).expect("serializes");
-    let loaded = MapRegistry::load(json.as_slice()).expect("deserializes");
+    db.save(&mut json).expect("serializes");
+    let loaded = FleetDb::load(json.as_slice()).expect("deserializes");
     assert_eq!(loaded.len(), 2);
-    for ppin in ppins {
-        let map = loaded.get(ppin).expect("registered map");
-        assert_eq!(map.ppin(), Some(ppin));
+    for map in mapped {
+        let ppin = map.ppin().expect("keyed map");
+        assert_eq!(loaded.get(ppin), Some(map), "{ppin}");
     }
 }
 
