@@ -60,9 +60,10 @@ pub const LINTS: [(&str, &str); 9] = [
     ),
     (
         "determinism-taint",
-        "metric names recorded through volatile recorders (wall-clock, steal \
-         counts) must never also be recorded deterministically: one name in \
-         both scopes makes the byte-identical JSON export schedule-dependent",
+        "metric names recorded through volatile recorders (wall-clock, \
+         per-worker job counts) must never also be recorded \
+         deterministically: one name in both scopes makes the \
+         byte-identical JSON export schedule-dependent",
     ),
     (
         "malformed-suppression",

@@ -44,10 +44,10 @@ const LIBRARY_CRATES: [&str; 7] = ["mesh", "obs", "uncore", "ilp", "thermal", "c
 ///   single-flight cache, the persistent database (byte-identical
 ///   save→load→save) and the campaign's instance-order accounting behind
 ///   the `fleet.cache.*` metrics.
-/// * `crates/fleet/src/runner.rs` — the work-stealing pool: results must
-///   merge in instance order whatever the steal schedule; steal counts
-///   are volatile-only, so any new wall-clock or ordering leak here needs
-///   a justified annotation.
+/// * `crates/fleet/src/runner.rs` — the worker pool: results must merge
+///   in instance order whatever the schedule; per-worker job counts are
+///   volatile-only, so any new wall-clock or ordering leak here needs a
+///   justified annotation.
 /// * `crates/fleet/src/serve.rs` — the daemon: campaign accounting under
 ///   concurrent clients must stay byte-identical; request latency is
 ///   volatile-only by design.
@@ -169,7 +169,7 @@ mod tests {
         assert!(is_deterministic_path("crates/obs/src/json.rs"));
         assert!(is_deterministic_path("crates/core/src/backend/replay.rs"));
         assert!(is_deterministic_path("crates/core/src/topology_select.rs"));
-        // The stealing runner and the serve daemon joined the scope when
+        // The fleet runner and the serve daemon joined the scope when
         // their deterministic accounting guarantees landed.
         assert!(is_deterministic_path("crates/fleet/src/runner.rs"));
         assert!(is_deterministic_path("crates/fleet/src/serve.rs"));

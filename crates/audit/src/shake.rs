@@ -12,7 +12,7 @@
 //!    exactly one leader election per signature (two when the schedule
 //!    scripts an abandonment) and a byte-identical final snapshot.
 //! 2. **Campaign** — `FleetRunner::map_instances_cached` over the real
-//!    work-stealing pool with seeded boot jitter, folded into a fresh
+//!    worker pool with seeded boot jitter, folded into a fresh
 //!    `FleetDb` the way `run_campaign_cached` does, asserting the
 //!    serialized database and the deterministic metrics export are
 //!    byte-identical across every (seed, worker-count) schedule.

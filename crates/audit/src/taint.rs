@@ -5,7 +5,7 @@
 //! recorders (`add`, `inc`, `set_gauge`, `observe`) land in the
 //! byte-identical JSON export that CI diffs; volatile recorders
 //! (`add_volatile`, `set_gauge_volatile`, `observe_volatile`) carry
-//! wall-clock and schedule-dependent values (`fleet.worker.*.steals`,
+//! wall-clock and schedule-dependent values (`fleet.worker.*.jobs`,
 //! `serve.query.latency_us`) and are excluded from it. The invariant is
 //! that one *name* never crosses scopes: a name recorded volatile
 //! anywhere and deterministic anywhere else would make the deterministic

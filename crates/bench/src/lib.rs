@@ -12,12 +12,9 @@
 // panic-discipline applies to the library crates.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use std::sync::Arc;
-
-use coremap_core::{CoreMap, CoreMapper};
+use coremap_core::{cha_map, eviction, CoreMap, CoreMapper, Harden};
 use coremap_fleet::{CloudFleet, CloudInstance, CpuModel, FleetRunner};
 use coremap_mesh::{Direction, OsCoreId};
-use coremap_obs as obs;
 use coremap_thermal::power::ThermalNoise;
 use coremap_thermal::{ThermalParams, ThermalSim};
 use rand::{Rng, SeedableRng};
@@ -34,9 +31,6 @@ pub struct Options {
     pub seed: u64,
     /// Worker threads for fleet mapping.
     pub workers: usize,
-    /// Write pipeline metrics as JSON to this file (same
-    /// `coremap-metrics/v1` shape as the CLI `--metrics` flag).
-    pub metrics: Option<String>,
 }
 
 impl Default for Options {
@@ -48,26 +42,19 @@ impl Default for Options {
             workers: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(4),
-            metrics: None,
         }
     }
 }
 
-fn arg_value(args: &mut impl Iterator<Item = String>, name: &str) -> String {
-    args.next()
-        .unwrap_or_else(|| panic!("{name} requires an argument"))
-}
-
 fn arg_num(args: &mut impl Iterator<Item = String>, name: &str) -> usize {
-    arg_value(args, name)
-        .parse()
-        .unwrap_or_else(|_| panic!("{name} requires a numeric argument"))
+    args.next()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("{name} requires a numeric argument"))
 }
 
 impl Options {
-    /// Parses `--instances N`, `--bits N`, `--seed N`, `--workers N`,
-    /// `--metrics FILE` and `--paper` (paper-scale defaults: all
-    /// instances, 10 kbit payloads).
+    /// Parses `--instances N`, `--bits N`, `--seed N`, `--workers N` and
+    /// `--paper` (paper-scale defaults: all instances, 10 kbit payloads).
     ///
     /// # Panics
     ///
@@ -81,24 +68,16 @@ impl Options {
                 "--bits" => opts.bits = arg_num(&mut args, "--bits"),
                 "--seed" => opts.seed = arg_num(&mut args, "--seed") as u64,
                 "--workers" => opts.workers = arg_num(&mut args, "--workers"),
-                "--metrics" => opts.metrics = Some(arg_value(&mut args, "--metrics")),
                 "--paper" => {
                     opts.instances = None;
                     opts.bits = 10_000;
                 }
                 other => panic!(
-                    "unknown argument {other}; supported: --instances N --bits N --seed N --workers N --metrics FILE --paper"
+                    "unknown argument {other}; supported: --instances N --bits N --seed N --workers N --paper"
                 ),
             }
         }
         opts
-    }
-
-    /// Installs a metrics registry when `--metrics` was given. Hold the
-    /// returned sink for the duration of the experiment; dropping it
-    /// exports the deterministic snapshot to the requested file.
-    pub fn metrics_sink(&self) -> Option<MetricsSink> {
-        self.metrics.as_ref().map(|path| MetricsSink::new(path))
     }
 
     /// Number of instances to map for `model`.
@@ -106,40 +85,6 @@ impl Options {
         self.instances
             .unwrap_or(model.paper_population())
             .min(model.paper_population())
-    }
-}
-
-/// Metrics collection scope for an experiment binary: installs a fresh
-/// registry on construction and writes its deterministic JSON snapshot
-/// (schema `coremap-metrics/v1`, the same shape the CLI `--metrics` flag
-/// produces) to `path` on drop.
-pub struct MetricsSink {
-    reg: Arc<obs::Registry>,
-    guard: Option<obs::InstallGuard>,
-    path: String,
-}
-
-impl MetricsSink {
-    /// Installs a fresh registry for the calling thread; the snapshot is
-    /// written to `path` when the sink is dropped.
-    pub fn new(path: &str) -> Self {
-        let reg = Arc::new(obs::Registry::new());
-        let guard = Some(obs::install(reg.clone()));
-        Self {
-            reg,
-            guard,
-            path: path.to_owned(),
-        }
-    }
-}
-
-impl Drop for MetricsSink {
-    fn drop(&mut self) {
-        self.guard.take();
-        match std::fs::write(&self.path, self.reg.to_json(false)) {
-            Ok(()) => eprintln!("metrics written: {}", self.path),
-            Err(e) => eprintln!("failed to write metrics {}: {e}", self.path),
-        }
     }
 }
 
@@ -175,12 +120,13 @@ pub fn cha_map_fleet(
     model: CpuModel,
     count: usize,
     workers: usize,
-) -> Vec<(CloudInstance, coremap_core::cha_map::ChaMapping)> {
+) -> Vec<(CloudInstance, cha_map::ChaMapping)> {
     let outcome = FleetRunner::new(workers).run(fleet, model, count, |instance| {
         let mut machine = instance.boot();
         let mut rng = ChaCha8Rng::seed_from_u64(0x6d61_7070);
-        let sets = coremap_core::eviction::build_all_sets(&mut machine, &mut rng, 8)?;
-        coremap_core::cha_map::discover(&mut machine, &sets, 3)
+        let sets =
+            eviction::build_all_sets_with(&mut machine, &mut rng, 8, &mut Harden::default())?;
+        cha_map::discover_with(&mut machine, &sets, 3, &mut Harden::default())
     });
     report_skipped(model, &outcome);
     outcome.into_successes()
@@ -371,26 +317,5 @@ mod tests {
         assert_eq!(mapped.len(), 2);
         assert_eq!(mapped[0].0.index(), 0);
         assert_eq!(mapped[1].0.index(), 1);
-    }
-
-    #[test]
-    fn metrics_sink_exports_campaign_counters() {
-        let path = std::env::temp_dir().join("coremap-bench-metrics-sink-test.json");
-        let path_str = path.to_str().expect("utf-8 temp path").to_owned();
-        {
-            let _sink = MetricsSink::new(&path_str);
-            let fleet = CloudFleet::with_seed(3);
-            let mapped = map_fleet(&fleet, CpuModel::Gold6354, 1, 1);
-            assert_eq!(mapped.len(), 1);
-        }
-        let json = std::fs::read_to_string(&path).expect("sink wrote on drop");
-        std::fs::remove_file(&path).ok();
-        assert!(
-            json.contains("\"schema\": \"coremap-metrics/v1\""),
-            "{json}"
-        );
-        assert!(json.contains("\"core.eviction.samples\""), "{json}");
-        assert!(json.contains("\"ilp.simplex.pivots\""), "{json}");
-        assert!(json.contains("\"fleet.instances.ok\": 1"), "{json}");
     }
 }

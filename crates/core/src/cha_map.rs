@@ -96,28 +96,16 @@ fn measure_core_row<T: MachineBackend>(
 ///
 /// For robustness against background noise the method does not threshold at
 /// zero: for each core, the slice with the *minimum* traffic is selected,
-/// and it must win by a wide margin over the runner-up.
+/// and it must win by a wide margin over the runner-up. Each core's full
+/// row of `(core, slice)` tests runs as one `harden` stage, so a noisy row
+/// is re-measured in isolation instead of aborting step 1 (or restarting
+/// it).
 ///
 /// # Errors
 ///
 /// [`MapError::AmbiguousChaMapping`] when no clear minimum exists (extreme
 /// noise), [`MapError::DuplicateChaClaim`] when two cores claim the same
 /// slice; MSR errors propagate.
-pub fn discover<T: MachineBackend>(
-    machine: &mut T,
-    sets: &[SliceEvictionSet],
-    rounds: usize,
-) -> Result<ChaMapping, MapError> {
-    discover_with(machine, sets, rounds, &mut Harden::default())
-}
-
-/// [`discover`] under an explicit hardening policy: each core's full row of
-/// `(core, slice)` tests runs as one stage, so a noisy row is re-measured
-/// in isolation instead of aborting step 1 (or restarting it).
-///
-/// # Errors
-///
-/// As for [`discover`].
 pub fn discover_with<T: MachineBackend>(
     machine: &mut T,
     sets: &[SliceEvictionSet],
@@ -184,8 +172,9 @@ mod tests {
 
     fn run_discovery(machine: &mut XeonMachine) -> ChaMapping {
         let mut rng = ChaCha8Rng::seed_from_u64(7);
-        let sets = eviction::build_all_sets(machine, &mut rng, 4).unwrap();
-        discover(machine, &sets, 3).unwrap()
+        let sets =
+            eviction::build_all_sets_with(machine, &mut rng, 4, &mut Harden::default()).unwrap();
+        discover_with(machine, &sets, 3, &mut Harden::default()).unwrap()
     }
 
     #[test]
@@ -230,8 +219,9 @@ mod tests {
             },
         );
         let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let sets = eviction::build_all_sets(&mut m, &mut rng, 16).unwrap();
-        let mapping = discover(&mut m, &sets, 6).unwrap();
+        let sets =
+            eviction::build_all_sets_with(&mut m, &mut rng, 16, &mut Harden::default()).unwrap();
+        let mapping = discover_with(&mut m, &sets, 6, &mut Harden::default()).unwrap();
         assert_eq!(mapping.core_to_cha, truth);
     }
 
@@ -242,11 +232,12 @@ mod tests {
             .unwrap();
         let mut m = XeonMachine::new(plan, MachineConfig::default());
         let mut rng = ChaCha8Rng::seed_from_u64(7);
-        let sets = eviction::build_all_sets(&mut m, &mut rng, 4).unwrap();
+        let sets =
+            eviction::build_all_sets_with(&mut m, &mut rng, 4, &mut Harden::default()).unwrap();
         // Two copies of one set: the winner ties the runner-up exactly, a
         // zero margin — the *thin margin* failure, not a duplicate claim.
         let twice = vec![sets[5].clone(), sets[5].clone()];
-        let err = discover(&mut m, &twice, 3).unwrap_err();
+        let err = discover_with(&mut m, &twice, 3, &mut Harden::default()).unwrap_err();
         match err {
             MapError::AmbiguousChaMapping {
                 core,
@@ -269,14 +260,15 @@ mod tests {
         let truth = plan.core_to_cha();
         let mut m = XeonMachine::new(plan, MachineConfig::default());
         let mut rng = ChaCha8Rng::seed_from_u64(7);
-        let sets = eviction::build_all_sets(&mut m, &mut rng, 4).unwrap();
+        let sets =
+            eviction::build_all_sets_with(&mut m, &mut rng, 4, &mut Harden::default()).unwrap();
         // Offer only core 0's co-located set: core 0 rightly claims it, and
         // core 1 — with no alternative and an effectively infinite margin —
         // claims it again. The error must blame *both* cores, not just the
         // current one.
         let cha0 = truth[0];
         let only = vec![sets[cha0.index()].clone()];
-        let err = discover(&mut m, &only, 3).unwrap_err();
+        let err = discover_with(&mut m, &only, 3, &mut Harden::default()).unwrap_err();
         assert_eq!(
             err,
             MapError::DuplicateChaClaim {

@@ -1,5 +1,6 @@
 //! The reconstructed core map.
 
+use std::collections::BTreeMap;
 use std::fmt;
 
 use coremap_mesh::{ChaId, DieTemplate, GridDim, OsCoreId, Ppin, TileCoord};
@@ -47,6 +48,26 @@ impl CoreMap {
             positions,
             core_to_cha,
             llc_only,
+        }
+    }
+
+    /// Checks the conditions [`new`](Self::new) asserts, plus one CHA per
+    /// tile. Deserialization bypasses `new`, so a map read back from
+    /// storage is checked here before it is served.
+    ///
+    /// # Errors
+    ///
+    /// The first [`PlacementDefect`] found.
+    pub fn check(&self) -> Result<(), PlacementDefect> {
+        check_placement(self.dim, &self.positions)?;
+        match self
+            .core_to_cha
+            .iter()
+            .chain(&self.llc_only)
+            .find(|cha| cha.index() >= self.positions.len())
+        {
+            Some(cha) => Err(PlacementDefect::Unplaced { cha: cha.index() }),
+            None => Ok(()),
         }
     }
 
@@ -264,6 +285,86 @@ impl CoreMap {
         }
         out
     }
+}
+
+/// Why a placement read back from storage cannot be served as a map.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum PlacementDefect {
+    /// The placement was solved on another grid than the campaign's.
+    WrongGrid {
+        /// The campaign's grid.
+        expected: GridDim,
+        /// The placement's grid.
+        found: GridDim,
+    },
+    /// The placement has a position count other than the campaign's CHA
+    /// count.
+    WrongChaCount {
+        /// The campaign's CHA count.
+        expected: usize,
+        /// The placement's position count.
+        found: usize,
+    },
+    /// A CHA lies outside the grid.
+    OutsideGrid {
+        /// The misplaced CHA.
+        cha: usize,
+        /// Its position.
+        at: TileCoord,
+    },
+    /// Two CHAs share one tile.
+    SharedTile {
+        /// The lower-numbered CHA.
+        first: usize,
+        /// The higher-numbered CHA.
+        second: usize,
+        /// The shared tile.
+        at: TileCoord,
+    },
+    /// A core or LLC-only entry names a CHA that has no position.
+    Unplaced {
+        /// The CHA without a position.
+        cha: usize,
+    },
+}
+
+impl fmt::Display for PlacementDefect {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Self::WrongGrid { expected, found } => {
+                write!(f, "solved on a {found} grid, not {expected}")
+            }
+            Self::WrongChaCount { expected, found } => {
+                write!(f, "places {found} CHAs, not {expected}")
+            }
+            Self::OutsideGrid { cha, at } => write!(f, "CHA{cha} at {at} lies outside the grid"),
+            Self::SharedTile { first, second, at } => {
+                write!(f, "CHA{first} and CHA{second} share tile {at}")
+            }
+            Self::Unplaced { cha } => write!(f, "CHA{cha} has no position"),
+        }
+    }
+}
+
+/// Checks that every position lies inside `dim` and no two coincide.
+pub(crate) fn check_placement(
+    dim: GridDim,
+    positions: &[TileCoord],
+) -> Result<(), PlacementDefect> {
+    let mut seen = BTreeMap::new();
+    for (cha, &at) in positions.iter().enumerate() {
+        if !dim.contains(at) {
+            return Err(PlacementDefect::OutsideGrid { cha, at });
+        }
+        if let Some(first) = seen.insert(at, cha) {
+            return Err(PlacementDefect::SharedTile {
+                first,
+                second: cha,
+                at,
+            });
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -4,6 +4,8 @@ use std::fmt;
 
 use coremap_uncore::MsrError;
 
+use crate::{ObservationSignature, PlacementDefect};
+
 /// Error from the core-location mapping pipeline.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MapError {
@@ -49,6 +51,14 @@ pub enum MapError {
     /// Observations are mutually inconsistent (should not happen on a
     /// conforming machine; indicates extreme noise).
     InconsistentObservations,
+    /// The solve cache answered the campaign with a placement that cannot
+    /// be its map (a corrupted store); it is not served.
+    CorruptCachedSolve {
+        /// The campaign's signature, under which the solve is stored.
+        signature: ObservationSignature,
+        /// What is wrong with the stored placement.
+        defect: PlacementDefect,
+    },
 }
 
 impl fmt::Display for MapError {
@@ -90,6 +100,9 @@ impl fmt::Display for MapError {
             MapError::Ilp(e) => write!(f, "ilp reconstruction failed: {e}"),
             MapError::InconsistentObservations => {
                 f.write_str("traffic observations are mutually inconsistent")
+            }
+            MapError::CorruptCachedSolve { signature, defect } => {
+                write!(f, "cached solve {signature} is corrupt: {defect}")
             }
         }
     }

@@ -34,26 +34,9 @@ pub struct SliceEvictionSet {
 
 /// Determines the home slice of `pa` by paired-writer contention: the two
 /// probe cores alternately write the line while `LLC_LOOKUP` is counted at
-/// every CHA; the argmax is the home (paper Sec. II-A).
-///
-/// # Errors
-///
-/// Propagates MSR failures.
-///
-/// # Panics
-///
-/// Panics if the machine has fewer than two cores.
-pub fn probe_home<T: MachineBackend>(
-    machine: &mut T,
-    pa: PhysAddr,
-    iters: usize,
-) -> Result<ChaId, MapError> {
-    probe_home_with(machine, pa, iters, &mut Harden::default())
-}
-
-/// [`probe_home`] under an explicit hardening policy: MSR accesses are
-/// retried and the `LLC_LOOKUP` readouts taken median-of-k, so a dropped
-/// counter read cannot silently corrupt the argmax.
+/// every CHA; the argmax is the home (paper Sec. II-A). MSR accesses are
+/// retried and the `LLC_LOOKUP` readouts taken median-of-k under `harden`,
+/// so a dropped counter read cannot silently corrupt the argmax.
 ///
 /// # Errors
 ///
@@ -91,27 +74,14 @@ pub fn probe_home_with<T: MachineBackend>(
 ///
 /// Random lines are sampled from the machine's physical address space, their
 /// homes probed, and buckets `(home, L2 set)` filled until each CHA owns a
-/// bucket with `ways + 1` lines.
+/// bucket with `ways + 1` lines. Each home probe runs as one `harden`
+/// stage, so a faulted probe is re-run in isolation instead of aborting the
+/// whole construction.
 ///
 /// # Errors
 ///
 /// [`MapError::EvictionSetBudget`] if the sampling budget is exhausted
 /// before every slice has a full set; MSR errors propagate.
-pub fn build_all_sets<T: MachineBackend, R: Rng>(
-    machine: &mut T,
-    rng: &mut R,
-    probe_iters: usize,
-) -> Result<Vec<SliceEvictionSet>, MapError> {
-    build_all_sets_with(machine, rng, probe_iters, &mut Harden::default())
-}
-
-/// [`build_all_sets`] under an explicit hardening policy: each home probe
-/// runs with stage-local re-measurement, so one faulted probe is re-run in
-/// isolation instead of aborting the whole construction.
-///
-/// # Errors
-///
-/// As for [`build_all_sets`].
 #[allow(clippy::expect_used)]
 pub fn build_all_sets_with<T: MachineBackend, R: Rng>(
     machine: &mut T,
@@ -239,7 +209,7 @@ mod tests {
         let mut m = machine();
         for i in [0u64, 7, 100, 9999] {
             let pa = PhysAddr::new(i * 64);
-            let probed = probe_home(&mut m, pa, 8).unwrap();
+            let probed = probe_home_with(&mut m, pa, 8, &mut Harden::default()).unwrap();
             assert_eq!(probed, m.home_of(pa), "line {i}");
         }
     }
@@ -248,7 +218,7 @@ mod tests {
     fn eviction_sets_cover_every_slice() {
         let mut m = machine();
         let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let sets = build_all_sets(&mut m, &mut rng, 4).unwrap();
+        let sets = build_all_sets_with(&mut m, &mut rng, 4, &mut Harden::default()).unwrap();
         assert_eq!(sets.len(), m.cha_count());
         let (l2_sets, ways) = m.l2_geometry();
         for s in &sets {
@@ -269,7 +239,7 @@ mod tests {
         let plan = FaultPlan::none(1).with_counter_drop_prob(1.0);
         let mut m = FaultyBackend::new(machine(), plan);
         let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let err = build_all_sets(&mut m, &mut rng, 4).unwrap_err();
+        let err = build_all_sets_with(&mut m, &mut rng, 4, &mut Harden::default()).unwrap_err();
         match &err {
             MapError::EvictionSetBudget { need, incomplete } => {
                 assert_eq!(incomplete.len(), m.cha_count() - 1);
@@ -299,7 +269,7 @@ mod tests {
         // ~1.6 stray lookups light noise adds.
         for i in [3u64, 42] {
             let pa = PhysAddr::new(i * 64);
-            let probed = probe_home(&mut m, pa, 16).unwrap();
+            let probed = probe_home_with(&mut m, pa, 16, &mut Harden::default()).unwrap();
             assert_eq!(probed, m.home_of(pa));
         }
     }

@@ -24,8 +24,7 @@
 //!    [`MapQuality`] report instead of an error.
 //!
 //! **Determinism contract**: every retry/backoff/resample decision draws
-//! from one ChaCha8 stream seeded by
-//! [`RobustnessConfig::backoff_seed`], and the simulated backoff is a
+//! from one ChaCha8 stream with a fixed seed, and the simulated backoff is a
 //! counted step (exported as `core.retry.backoff_steps`), not a wall-clock
 //! sleep. Identical inputs therefore produce byte-identical deterministic
 //! metrics (`core.retry.*`, `core.harden.*`), which
@@ -46,6 +45,13 @@ use crate::traffic::{ObservationSet, VerticalDir};
 use crate::verify;
 use crate::MapError;
 
+/// Seed of the backoff/resample decision stream.
+const BACKOFF_SEED: u64 = 0x6861_7264;
+
+/// Ceiling on the fraction of path observations the degradation may
+/// discard before giving up.
+const MAX_DISCARD_FRACTION: f64 = 0.25;
+
 /// Tunables of the fault-tolerance layer, carried by
 /// [`MapperConfig`](crate::MapperConfig).
 #[derive(Debug, Clone, PartialEq)]
@@ -53,8 +59,6 @@ pub struct RobustnessConfig {
     /// Attempts per MSR operation (1 = no retry). Retries only run after a
     /// failure, so raising this costs nothing on a clean machine.
     pub msr_attempts: usize,
-    /// Seed of the backoff/resample decision stream.
-    pub backoff_seed: u64,
     /// PMON counter samples per readout; the median is returned (1 = single
     /// read). Odd values make the median unambiguous.
     pub counter_samples: usize,
@@ -65,20 +69,15 @@ pub struct RobustnessConfig {
     /// Discard-and-re-solve rounds step 3 may spend explaining away
     /// inconsistent observations (0 = solve once, never discard).
     pub degrade_rounds: usize,
-    /// Ceiling on the fraction of path observations the degradation may
-    /// discard before giving up.
-    pub max_discard_fraction: f64,
 }
 
 impl Default for RobustnessConfig {
     fn default() -> Self {
         Self {
             msr_attempts: 3,
-            backoff_seed: 0x6861_7264,
             counter_samples: 1,
             stage_retries: 2,
             degrade_rounds: 0,
-            max_discard_fraction: 0.25,
         }
     }
 }
@@ -93,7 +92,6 @@ impl RobustnessConfig {
             counter_samples: 3,
             stage_retries: 3,
             degrade_rounds: 3,
-            ..Self::default()
         }
     }
 
@@ -106,7 +104,6 @@ impl RobustnessConfig {
             counter_samples: 1,
             stage_retries: 0,
             degrade_rounds: 0,
-            ..Self::default()
         }
     }
 }
@@ -129,7 +126,7 @@ impl Default for Harden {
 impl Harden {
     /// Builds the policy state for `cfg`.
     pub fn new(cfg: RobustnessConfig) -> Self {
-        let rng = ChaCha8Rng::seed_from_u64(cfg.backoff_seed);
+        let rng = ChaCha8Rng::seed_from_u64(BACKOFF_SEED);
         Self { cfg, rng }
     }
 
@@ -474,9 +471,9 @@ fn discard(kept: &mut ObservationSet, bad: &[usize]) {
 
 /// Step 3 with graceful degradation: solves the ILP, checks the placement
 /// against the observations, and — within
-/// [`RobustnessConfig::degrade_rounds`] and
-/// [`RobustnessConfig::max_discard_fraction`] — discards
-/// minority-inconsistent observations and re-solves. An infeasible solve
+/// [`RobustnessConfig::degrade_rounds`], discarding at most a quarter of
+/// the observations — discards minority-inconsistent observations and
+/// re-solves. An infeasible solve
 /// triggers the structural conflict scan instead. When the budget runs out
 /// on a *solvable* set, the map ships flagged
 /// [`MapFidelity::Partial`] rather than erroring; only unsolvable sets
@@ -497,7 +494,7 @@ pub fn reconstruct_degrading(
     _solve_opts: ilp_model::SolveOptions,
 ) -> Result<(Reconstruction, MapQuality), MapError> {
     let total = obs_set.paths.len();
-    let max_discard = (total as f64 * cfg.max_discard_fraction).floor() as usize;
+    let max_discard = (total as f64 * MAX_DISCARD_FRACTION).floor() as usize;
     let mut kept = obs_set.clone();
     let mut discarded = 0usize;
     let mut rounds = 0usize;

@@ -65,7 +65,7 @@ pub mod traffic;
 pub mod verify;
 
 pub use backend::MachineBackend;
-pub use coremap::CoreMap;
+pub use coremap::{CoreMap, PlacementDefect};
 pub use error::MapError;
 pub use harden::{Harden, MapFidelity, MapQuality, RobustnessConfig};
 pub use ilp_model::SolveOptions;

@@ -14,7 +14,7 @@ use crate::harden::{self, Harden, MapQuality, RobustnessConfig};
 use crate::ilp_model::Reconstruction;
 use crate::signature::{CachedSolve, ObservationSignature, SolveCache};
 use crate::traffic;
-use crate::{CoreMap, MachineBackend, MapError, ObservationSet};
+use crate::{CoreMap, MachineBackend, MapError, ObservationSet, PlacementDefect};
 
 /// Leadership over one in-flight cache entry: ties the single-flight
 /// protocol of [`SolveCache`] to scope. `acquire` resolves a hit (waiting
@@ -75,9 +75,6 @@ pub struct MapDiagnostics {
     /// `None` on the hypothesis-selection path, whose solve input is not a
     /// single campaign.
     pub signature: Option<ObservationSignature>,
-    /// Whether step 3 was answered from a [`SolveCache`] hit instead of an
-    /// ILP solve.
-    pub solve_cached: bool,
 }
 
 /// Tunables of the mapping pipeline.
@@ -99,7 +96,7 @@ pub struct MapperConfig {
     pub full_formulation: bool,
     /// Which mesh ring class to observe. The paper monitors BL (data);
     /// [`RingClass::Ad`] switches step 2 to the request-ring campaign of
-    /// [`traffic::observe_all_ad`]. [`RingClass::Iv`] carries no directed
+    /// [`traffic::observe_all_ad_with`]. [`RingClass::Iv`] carries no directed
     /// pattern usable for mapping and is rejected.
     pub ring: RingClass,
     /// Fault-tolerance policy: MSR retry, redundant counter sampling,
@@ -293,7 +290,6 @@ impl CoreMapper {
         // campaign. A configured SolveCache can answer the paper-literal
         // solve from a previous campaign with the same signature.
         let mut signature = None;
-        let mut solve_cached = false;
         let (rec, quality, winning_dim, winning_topology) =
             if self.config.topology_hypotheses.is_empty() {
                 let _span = obs::time("core.map.stage.ilp");
@@ -306,11 +302,30 @@ impl CoreMapper {
                     &observations,
                 );
                 signature = Some(sig);
-                let hit = cache.and_then(|c| {
-                    CacheLease::acquire(c, sig).map(|solve| {
-                        // The cached dim is part of the content address's
-                        // input; a mismatch would mean a corrupted store.
-                        debug_assert_eq!(solve.dim, dim);
+                let (rec, quality) = match cache.and_then(|c| CacheLease::acquire(c, sig)) {
+                    Some(solve) => {
+                        // The grid and the CHA count are part of the
+                        // content address's input; a defect means a
+                        // corrupted store.
+                        let defect = if solve.dim != dim {
+                            Some(PlacementDefect::WrongGrid {
+                                expected: dim,
+                                found: solve.dim,
+                            })
+                        } else if solve.positions.len() != observations.n_cha {
+                            Some(PlacementDefect::WrongChaCount {
+                                expected: observations.n_cha,
+                                found: solve.positions.len(),
+                            })
+                        } else {
+                            solve.check().err()
+                        };
+                        if let Some(defect) = defect {
+                            return Err(MapError::CorruptCachedSolve {
+                                signature: sig,
+                                defect,
+                            });
+                        }
                         (
                             Reconstruction {
                                 positions: solve.positions,
@@ -319,12 +334,6 @@ impl CoreMapper {
                             },
                             solve.quality,
                         )
-                    })
-                });
-                let (rec, quality) = match hit {
-                    Some((rec, quality)) => {
-                        solve_cached = true;
-                        (rec, quality)
                     }
                     None => {
                         // This thread leads the solve for `sig`: the lease
@@ -390,7 +399,6 @@ impl CoreMapper {
             machine_ops: machine.op_count(),
             quality,
             signature,
-            solve_cached,
         };
         obs::add("core.machine.ops", diagnostics.machine_ops);
         Ok((map, diagnostics))

@@ -87,21 +87,6 @@ pub fn freeze_all<T: MachineBackend>(machine: &mut T) -> Result<(), MsrError> {
     Ok(())
 }
 
-/// Reads the four ring counters of `cha` as armed by [`arm_ring`].
-///
-/// # Errors
-///
-/// Propagates MSR access failures.
-pub fn read_ring<T: MachineBackend>(machine: &T, cha: usize) -> Result<ChannelCounts, MsrError> {
-    Ok(ChannelCounts {
-        llc_lookup: 0,
-        up: machine.read_msr(counter(cha, 0))?,
-        down: machine.read_msr(counter(cha, 1))?,
-        left: machine.read_msr(counter(cha, 2))?,
-        right: machine.read_msr(counter(cha, 3))?,
-    })
-}
-
 /// Reads the LLC-lookup counter of `cha` as armed by [`arm_llc_lookup`].
 ///
 /// # Errors
@@ -111,9 +96,10 @@ pub fn read_llc_lookup<T: MachineBackend>(machine: &T, cha: usize) -> Result<u64
     machine.read_msr(counter(cha, 0))
 }
 
-/// [`read_ring`] under a hardening policy: each of the four counters is
-/// read median-of-k with MSR retry, so a dropped or jittered readout is
-/// absorbed instead of silently corrupting the channel counts.
+/// Reads the four ring counters of `cha` as armed by [`arm_ring`]. Each
+/// counter is read median-of-k with MSR retry under `harden`, so a dropped
+/// or jittered readout is absorbed instead of silently corrupting the
+/// channel counts.
 ///
 /// # Errors
 ///
@@ -154,12 +140,20 @@ mod tests {
         m.write_line(OsCoreId::new(0), PhysAddr::new(0x11140));
         m.read_line(OsCoreId::new(13), PhysAddr::new(0x11140));
         let any: u64 = (0..m.cha_count())
-            .map(|c| read_ring(&m, c).unwrap().ring_total())
+            .map(|c| {
+                read_ring_with(&m, c, &mut Harden::default())
+                    .unwrap()
+                    .ring_total()
+            })
             .sum();
         assert!(any > 0);
         reset_all(&mut m).unwrap();
         let any: u64 = (0..m.cha_count())
-            .map(|c| read_ring(&m, c).unwrap().ring_total())
+            .map(|c| {
+                read_ring_with(&m, c, &mut Harden::default())
+                    .unwrap()
+                    .ring_total()
+            })
             .sum();
         assert_eq!(any, 0);
     }
@@ -191,7 +185,11 @@ mod tests {
         m.write_line(OsCoreId::new(0), PhysAddr::new(0x3_0000));
         m.read_line(OsCoreId::new(9), PhysAddr::new(0x3_0000));
         let any: u64 = (0..m.cha_count())
-            .map(|c| read_ring(&m, c).unwrap().ring_total())
+            .map(|c| {
+                read_ring_with(&m, c, &mut Harden::default())
+                    .unwrap()
+                    .ring_total()
+            })
             .sum();
         assert_eq!(any, 0);
     }

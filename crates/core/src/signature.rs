@@ -32,6 +32,7 @@ use std::fmt;
 use coremap_mesh::{ChaId, GridDim, TileCoord};
 use serde::{Deserialize, Serialize};
 
+use crate::coremap::{check_placement, PlacementDefect};
 use crate::harden::MapQuality;
 use crate::traffic::{ObservationSet, PathObservation, VerticalDir};
 
@@ -223,6 +224,20 @@ pub struct CachedSolve {
     /// bookkeeping included, so a hit reports exactly what a re-solve
     /// would).
     pub quality: MapQuality,
+}
+
+impl CachedSolve {
+    /// Checks that every position lies inside the solve's own grid and no
+    /// two CHAs share a tile. Deserialization builds a solve field by
+    /// field, so one read back from storage is checked here before it is
+    /// served.
+    ///
+    /// # Errors
+    ///
+    /// The first [`PlacementDefect`] found.
+    pub fn check(&self) -> Result<(), PlacementDefect> {
+        check_placement(self.dim, &self.positions)
+    }
 }
 
 /// The solve-cache seam consulted by

@@ -72,8 +72,8 @@ pub struct ObservationSet {
 impl ObservationSet {
     /// Generates the *ideal* observation set for a floorplan directly from
     /// the routing rules — the noise-free limit of the measurement campaign
-    /// (used by tests and the ILP benchmarks; the real pipeline measures
-    /// through [`observe_all`]).
+    /// (used by tests and the figure experiments; the real pipeline measures
+    /// through [`observe_all_with`]).
     ///
     /// For every ordered pair of active CHAs whose sink tile has an enabled
     /// core (LLC-only tiles can only be sources), the route under the
@@ -167,30 +167,6 @@ fn collect_observation<T: MachineBackend>(
 ///
 /// # Errors
 ///
-/// Propagates MSR errors.
-pub fn observe_core_pair<T: MachineBackend>(
-    machine: &mut T,
-    mapping: &ChaMapping,
-    src: OsCoreId,
-    sink: OsCoreId,
-    line_homed_at_sink: coremap_uncore::PhysAddr,
-    iters: usize,
-) -> Result<PathObservation, MapError> {
-    observe_core_pair_with(
-        machine,
-        mapping,
-        src,
-        sink,
-        line_homed_at_sink,
-        iters,
-        &mut Harden::default(),
-    )
-}
-
-/// [`observe_core_pair`] under an explicit hardening policy.
-///
-/// # Errors
-///
 /// Propagates MSR errors once the policy's retries are exhausted.
 pub fn observe_core_pair_with<T: MachineBackend>(
     machine: &mut T,
@@ -227,21 +203,6 @@ pub fn observe_core_pair_with<T: MachineBackend>(
 ///
 /// # Errors
 ///
-/// Propagates MSR errors.
-pub fn observe_slice_to_core<T: MachineBackend>(
-    machine: &mut T,
-    mapping: &ChaMapping,
-    set: &SliceEvictionSet,
-    sink: OsCoreId,
-    rounds: usize,
-) -> Result<PathObservation, MapError> {
-    observe_slice_to_core_with(machine, mapping, set, sink, rounds, &mut Harden::default())
-}
-
-/// [`observe_slice_to_core`] under an explicit hardening policy.
-///
-/// # Errors
-///
 /// Propagates MSR errors once the policy's retries are exhausted.
 pub fn observe_slice_to_core_with<T: MachineBackend>(
     machine: &mut T,
@@ -267,39 +228,17 @@ pub fn observe_slice_to_core_with<T: MachineBackend>(
     )
 }
 
-/// Runs the full all-pairs observation campaign.
+/// Runs the full all-pairs observation campaign. Every path observation
+/// runs as its own `harden` stage, so a faulted `(src, sink)` pair is
+/// re-observed in isolation instead of aborting (or restarting) the whole
+/// campaign.
 ///
 /// `pair_stride` subsamples the ordered core pairs (1 = all pairs); the
 /// observation-budget ablation benchmark uses larger strides.
 ///
 /// # Errors
 ///
-/// Propagates MSR errors.
-pub fn observe_all<T: MachineBackend>(
-    machine: &mut T,
-    mapping: &ChaMapping,
-    sets: &[SliceEvictionSet],
-    iters: usize,
-    pair_stride: usize,
-) -> Result<ObservationSet, MapError> {
-    observe_all_with(
-        machine,
-        mapping,
-        sets,
-        iters,
-        pair_stride,
-        &mut Harden::default(),
-    )
-}
-
-/// [`observe_all`] under an explicit hardening policy: every path
-/// observation runs as its own stage, so a faulted `(src, sink)` pair is
-/// re-observed in isolation instead of aborting (or restarting) the whole
-/// campaign.
-///
-/// # Errors
-///
-/// As for [`observe_all`].
+/// Propagates MSR errors once the policy's retries are exhausted.
 pub fn observe_all_with<T: MachineBackend>(
     machine: &mut T,
     mapping: &ChaMapping,
@@ -366,21 +305,6 @@ pub fn observe_all_with<T: MachineBackend>(
 /// # Errors
 ///
 /// Propagates MSR errors.
-pub fn observe_all_ad<T: MachineBackend>(
-    machine: &mut T,
-    mapping: &ChaMapping,
-    sets: &[SliceEvictionSet],
-    rounds: usize,
-) -> Result<ObservationSet, MapError> {
-    observe_all_ad_with(machine, mapping, sets, rounds, &mut Harden::default())
-}
-
-/// [`observe_all_ad`] under an explicit hardening policy (stage-local
-/// re-measurement per `(core, slice)` stream, as in [`observe_all_with`]).
-///
-/// # Errors
-///
-/// Propagates MSR errors.
 pub fn observe_all_ad_with<T: MachineBackend>(
     machine: &mut T,
     mapping: &ChaMapping,
@@ -427,8 +351,10 @@ mod tests {
     fn setup(plan: Floorplan) -> (XeonMachine, ChaMapping, Vec<SliceEvictionSet>) {
         let mut m = XeonMachine::new(plan, MachineConfig::default());
         let mut rng = ChaCha8Rng::seed_from_u64(11);
-        let sets = eviction::build_all_sets(&mut m, &mut rng, 4).unwrap();
-        let mapping = crate::cha_map::discover(&mut m, &sets, 3).unwrap();
+        let sets =
+            eviction::build_all_sets_with(&mut m, &mut rng, 4, &mut Harden::default()).unwrap();
+        let mapping =
+            crate::cha_map::discover_with(&mut m, &sets, 3, &mut Harden::default()).unwrap();
         (m, mapping, sets)
     }
 
@@ -458,7 +384,16 @@ mod tests {
             })
             .expect("same-column pair exists");
         let line = line_for(&sets, mapping.cha_of(sink));
-        let obs = observe_core_pair(&mut m, &mapping, src, sink, line, 16).unwrap();
+        let obs = observe_core_pair_with(
+            &mut m,
+            &mapping,
+            src,
+            sink,
+            line,
+            16,
+            &mut Harden::default(),
+        )
+        .unwrap();
         assert!(obs.horizontal.is_empty(), "no horizontal movement expected");
         assert!(!obs.vertical.is_empty());
         // Source is below sink (larger row) so traffic moves up.
@@ -488,7 +423,16 @@ mod tests {
             })
             .unwrap();
         let line = line_for(&sets, mapping.cha_of(sink));
-        let obs = observe_core_pair(&mut m, &mapping, src, sink, line, 16).unwrap();
+        let obs = observe_core_pair_with(
+            &mut m,
+            &mapping,
+            src,
+            sink,
+            line,
+            16,
+            &mut Harden::default(),
+        )
+        .unwrap();
         let sc = truth.coord_of_core(src);
         let kc = truth.coord_of_core(sink);
         // Vertical observers lie in the source column between the rows.
@@ -521,7 +465,16 @@ mod tests {
                     continue;
                 }
                 let line = line_for(&sets, mapping.cha_of(sink));
-                let obs = observe_core_pair(&mut m, &mapping, src, sink, line, 12).unwrap();
+                let obs = observe_core_pair_with(
+                    &mut m,
+                    &mapping,
+                    src,
+                    sink,
+                    line,
+                    12,
+                    &mut Harden::default(),
+                )
+                .unwrap();
                 // All observers are valid CHA ids (< cha_count) by
                 // construction; none may exceed the active count.
                 for &(c, _) in &obs.vertical {
@@ -543,7 +496,15 @@ mod tests {
         assert_eq!(mapping.llc_only.len(), 1);
         let llc = mapping.llc_only[0];
         let sink = m.os_cores()[5];
-        let obs = observe_slice_to_core(&mut m, &mapping, &sets[llc.index()], sink, 3).unwrap();
+        let obs = observe_slice_to_core_with(
+            &mut m,
+            &mapping,
+            &sets[llc.index()],
+            sink,
+            3,
+            &mut Harden::default(),
+        )
+        .unwrap();
         assert_eq!(obs.source, llc);
         let sink_cha = mapping.cha_of(sink);
         assert!(
@@ -561,7 +522,7 @@ mod tests {
             .unwrap();
         let truth = plan.clone();
         let (mut m, mapping, sets) = setup(plan);
-        let obs = observe_all_ad(&mut m, &mapping, &sets, 3).unwrap();
+        let obs = observe_all_ad_with(&mut m, &mapping, &sets, 3, &mut Harden::default()).unwrap();
         // One path per (core, other-cha) pair; LLC-only tiles appear as
         // sinks, impossible on the BL campaign.
         let n_core = m.core_count();
@@ -591,7 +552,7 @@ mod tests {
             .unwrap();
         let (mut m, mapping, sets) = setup(plan);
         let n = m.core_count();
-        let obs = observe_all(&mut m, &mapping, &sets, 8, 1).unwrap();
+        let obs = observe_all_with(&mut m, &mapping, &sets, 8, 1, &mut Harden::default()).unwrap();
         assert_eq!(obs.paths.len(), n * (n - 1) + n);
         assert_eq!(obs.n_cha, 28);
     }

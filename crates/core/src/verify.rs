@@ -133,7 +133,7 @@ pub fn pairwise_accuracy(positions: &[TileCoord], plan: &Floorplan) -> f64 {
 /// only positive observations, so placements that *would* have produced
 /// additional events on hidden tiles remain admissible.
 ///
-/// This is the correct acceptance criterion for sparse dies, where disabled
+/// This is the correct acceptance test for sparse dies, where disabled
 /// tiles hide enough of the mesh that several placements are legitimately
 /// consistent with all measurements (the paper's Sec. II-D failure modes).
 pub fn observations_consistent(

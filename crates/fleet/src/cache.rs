@@ -281,4 +281,43 @@ mod tests {
         assert_eq!(keys, vec![sig(1), sig(2)], "signature order");
         assert_eq!(snap[&sig(1)].dim, GridDim::new(4, 2));
     }
+
+    #[test]
+    fn corrupt_seeded_solve_is_a_typed_error_not_a_map() {
+        use crate::{CloudFleet, CpuModel};
+        use coremap_core::{CoreMapper, MapError, PlacementDefect};
+
+        let chip = CloudFleet::with_seed(2022)
+            .instance(CpuModel::Platinum8124M, 0)
+            .unwrap();
+        let mapper = CoreMapper::new();
+        let (map, diag) = mapper.map_with_diagnostics(&mut chip.boot()).unwrap();
+        let sig = diag.signature.expect("paper-literal runs are signed");
+        let dim = map.dim();
+        let wrong = GridDim::new(dim.rows + 1, dim.cols);
+        let cache = MapCache::new();
+        cache.seed(
+            sig,
+            CachedSolve {
+                dim: wrong,
+                positions: (0..map.cha_count())
+                    .map(|cha| map.coord_of_cha(coremap_mesh::ChaId::new(cha as u16)))
+                    .collect(),
+                objective: diag.ilp_objective,
+                quality: diag.quality,
+            },
+        );
+        let err = mapper.map_cached(&mut chip.boot(), &cache).unwrap_err();
+        assert_eq!(
+            err,
+            MapError::CorruptCachedSolve {
+                signature: sig,
+                defect: PlacementDefect::WrongGrid {
+                    expected: dim,
+                    found: wrong,
+                },
+            }
+        );
+        assert!(err.to_string().contains(&sig.to_hex()), "{err}");
+    }
 }

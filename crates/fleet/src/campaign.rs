@@ -176,9 +176,9 @@ pub fn run_campaign_cached(
 
     // Deterministic hit/miss accounting in instance order: instance i is a
     // hit iff its signature was in the initial database or belongs to a
-    // lower-indexed fresh instance. (The raw `solve_cached` flags depend
-    // on which racing worker won leadership; these totals do not, and
-    // single-flight makes the miss count equal the real solve count.)
+    // lower-indexed fresh instance. (Which racing worker leads a solve
+    // depends on scheduling; these totals do not, and single-flight makes
+    // the miss count equal the real solve count.)
     let mut seen = initial_sigs;
     let (mut hits, mut misses) = (0u64, 0u64);
     for (_, result) in outcome.iter() {

@@ -149,11 +149,14 @@ impl FleetDb {
         serde_json::to_writer_pretty(writer, self)
     }
 
-    /// Loads a database from JSON, rejecting unknown format versions.
+    /// Loads a database from JSON, rejecting unknown format versions and
+    /// any stored pattern or solve that could not be served as a map.
     ///
     /// # Errors
     ///
-    /// I/O and deserialization errors, including a version mismatch.
+    /// I/O and deserialization errors, including a version mismatch, a
+    /// dangling pattern index and a placement defect (a position outside
+    /// its grid, two CHAs on one tile), named by its entry.
     pub fn load<R: Read>(reader: R) -> Result<Self, serde_json::Error> {
         let db: Self = serde_json::from_reader(reader)?;
         if db.version != FLEETDB_FORMAT {
@@ -170,6 +173,16 @@ impl FleetDb {
                     db.patterns.len()
                 ))
                 .into());
+            }
+        }
+        for (idx, pattern) in db.patterns.iter().enumerate() {
+            if let Err(defect) = pattern.check() {
+                return Err(serde::Error::custom(format!("pattern {idx}: {defect}")).into());
+            }
+        }
+        for (sig, solve) in &db.solves {
+            if let Err(defect) = solve.check() {
+                return Err(serde::Error::custom(format!("cached solve {sig}: {defect}")).into());
             }
         }
         Ok(db)
@@ -253,6 +266,44 @@ mod tests {
         let mut second = Vec::new();
         back.save(&mut second).unwrap();
         assert_eq!(first, second, "save→load→save is byte-identical");
+    }
+
+    #[test]
+    fn unservable_entries_fail_to_load_and_are_named() {
+        let sig = ObservationSignature::from_hex(&"cd".repeat(16)).unwrap();
+        let mut db = FleetDb::new();
+        db.record_solve(
+            sig,
+            CachedSolve {
+                dim: GridDim::new(1, 3),
+                positions: vec![TileCoord::new(0, 0), TileCoord::new(0, 3)],
+                objective: 1.0,
+                quality: coremap_core::MapQuality::default(),
+            },
+        );
+        let mut buf = Vec::new();
+        db.save(&mut buf).unwrap();
+        let err = FleetDb::load(buf.as_slice()).unwrap_err().to_string();
+        assert!(err.contains(&format!("cached solve {sig}")), "{err}");
+        assert!(
+            err.contains("CHA1 at (r0, c3) lies outside the grid"),
+            "{err}"
+        );
+
+        // `CoreMap::new` does not stop two CHAs sharing a tile.
+        let stacked = CoreMap::new(
+            GridDim::new(1, 3),
+            vec![TileCoord::new(0, 1), TileCoord::new(0, 1)],
+            vec![ChaId::new(0), ChaId::new(1)],
+            vec![],
+        );
+        let mut db = FleetDb::new();
+        db.insert(map(1, 0)).unwrap();
+        db.insert(stacked.with_ppin(Ppin::new(2))).unwrap();
+        let mut buf = Vec::new();
+        db.save(&mut buf).unwrap();
+        let err = FleetDb::load(buf.as_slice()).unwrap_err().to_string();
+        assert!(err.contains("pattern 1: CHA0 and CHA1 share tile"), "{err}");
     }
 
     #[test]

@@ -16,9 +16,9 @@
 //!   the reported top-4 frequencies);
 //! * [`stats`] computes those tables back from *measured* maps;
 //! * [`FleetRunner`] is the shared campaign harness: it walks a model's
-//!   instances with a work-queue worker pool, collects per-instance
-//!   `Result`s in instance order (worker-count-independent output, failures
-//!   recorded rather than fatal), and is generic over the
+//!   instances with a worker pool fed by one shared cursor, collects
+//!   per-instance `Result`s in instance order (worker-count-independent
+//!   output, failures recorded rather than fatal), and is generic over the
 //!   [`MachineBackend`](coremap_core::backend::MachineBackend) each
 //!   instance boots into;
 //! * the scale layer ([`run_campaign`]) exploits the tiny per-SKU pattern

@@ -16,9 +16,9 @@
 //! order*, so the deterministic metric snapshot is independent of the
 //! worker count.
 
-use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use coremap_core::backend::MachineBackend;
 use coremap_core::{verify, CoreMap, CoreMapper, MapError, SolveCache};
@@ -27,24 +27,11 @@ use coremap_obs as obs;
 use crate::stats::{IdMappingStats, PatternStats};
 use crate::{CloudFleet, CloudInstance, CpuModel};
 
-/// One finished result slot: the instance and its job outcome.
-type ResultEntry<T, E> = (CloudInstance, Result<T, JobFailure<E>>);
+/// One instance and its job outcome, in the order [`FleetOutcome`] keeps.
+type Entry<T, E> = (CloudInstance, Result<T, JobFailure<E>>);
 
-/// Per-instance result slots, filled as workers finish.
-type ResultSlots<T, E> = Mutex<Vec<Option<ResultEntry<T, E>>>>;
-
-/// Per-instance metric sub-registries, filled as workers finish.
-type RegistrySlots = Mutex<Vec<Option<Arc<obs::Registry>>>>;
-
-/// Locks `m`, recovering the data even if a previous holder panicked.
-///
-/// Every write the runner makes under these mutexes is a self-contained
-/// single-slot update, so a poisoned lock never leaves the shared state
-/// torn — it only means some other slot's job died, which the outcome
-/// already reports per instance.
-fn lock_clean<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
+/// An instance's metric sub-registry, when the campaign is instrumented.
+type SubRegistry = Option<Arc<obs::Registry>>;
 
 /// Renders a caught panic payload as text for [`JobFailure::Panic`].
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -57,37 +44,43 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Converts the raw result slots into the final instance-order vector.
+/// Runs `job` on instance `idx` of `model` with panic isolation, recording
+/// into a fresh metric sub-registry when the campaign is instrumented.
 ///
-/// A hole — a worker that died between claiming slot `i` and publishing a
-/// result, which `catch_unwind` cannot always prevent (a panic raised in a
-/// destructor during unwinding aborts the thread past the catch) — becomes
-/// a [`JobFailure::Panic`] entry for that one instance instead of killing
-/// the whole campaign.
-fn seal_results<T, E>(
+/// # Panics
+///
+/// Panics if `idx` exceeds the model's population.
+fn run_job<T, E>(
     fleet: &CloudFleet,
     model: CpuModel,
-    indices: &[usize],
-    slots: Vec<Option<ResultEntry<T, E>>>,
-) -> Vec<ResultEntry<T, E>> {
-    slots
-        .into_iter()
-        .enumerate()
-        .map(|(slot, entry)| match entry {
-            Some(filled) => filled,
-            None => {
-                #[allow(clippy::expect_used)]
-                // audit: allow(panic-safety): an out-of-range index panics the scope join before this runs, so a hole's index is known valid
-                let instance = fleet.instance(model, indices[slot]).expect("index valid");
-                (
-                    instance,
-                    Err(JobFailure::Panic(
-                        "worker died before publishing a result for this instance".to_owned(),
-                    )),
-                )
-            }
-        })
-        .collect()
+    idx: usize,
+    worker: usize,
+    instrumented: bool,
+    job: impl Fn(&CloudInstance) -> Result<T, E>,
+) -> (Entry<T, E>, SubRegistry) {
+    #[allow(clippy::expect_used)]
+    // audit: allow(panic-safety): documented "# Panics" contract — an index above the population is a caller bug, checked before any work ran
+    let instance = fleet.instance(model, idx).expect("index below population");
+    let sub = instrumented.then(|| Arc::new(obs::Registry::new()));
+    // audit: allow(determinism): wall time is recorded as a volatile metric only; deterministic exports never include it
+    let start = std::time::Instant::now();
+    let result = {
+        let _scope = sub.clone().map(obs::install);
+        catch_unwind(AssertUnwindSafe(|| job(&instance)))
+    };
+    let result = match result {
+        Ok(Ok(v)) => Ok(v),
+        Ok(Err(e)) => Err(JobFailure::Job(e)),
+        Err(payload) => Err(JobFailure::Panic(panic_message(payload))),
+    };
+    if let Some(sub) = &sub {
+        sub.set_gauge_volatile(
+            &format!("fleet.instance.{idx:04}.wall_us"),
+            start.elapsed().as_micros() as f64,
+        );
+        sub.add_volatile(&format!("fleet.worker.{worker:02}.jobs"), 1);
+    }
+    ((instance, result), sub)
 }
 
 /// Why one instance of a fleet campaign produced no result.
@@ -123,7 +116,7 @@ impl<E: std::fmt::Display> std::fmt::Display for JobFailure<E> {
     }
 }
 
-/// A work-queue thread pool over the instances of one fleet model.
+/// A thread pool over the instances of one fleet model.
 ///
 /// Results are keyed by instance index, so for a deterministic job the
 /// outcome is identical whatever the worker count.
@@ -155,7 +148,7 @@ impl FleetRunner {
     ///
     /// A panicking job does not abort the campaign: the panic is caught on
     /// the worker, reported as [`JobFailure::Panic`] for that one
-    /// instance, and the worker moves on to the next queue entry.
+    /// instance, and the worker moves on to the next instance.
     ///
     /// If a metrics registry is installed on the calling thread
     /// ([`coremap_obs::install`]), each job records into a fresh
@@ -207,86 +200,51 @@ impl FleetRunner {
         E: Send,
         F: Fn(&CloudInstance) -> Result<T, E> + Sync,
     {
-        let count = indices.len();
         // Hold the caller's registry for the whole campaign: the merge at
         // the end must not depend on the thread-local still being set.
         let registry = obs::current();
         let instrumented = registry.is_some();
-        // Shard the slots into per-worker contiguous index ranges. Each
-        // worker drains its own shard from the front; an idle worker
-        // steals from the *back* of the nearest non-empty sibling shard,
-        // so owners and thieves contend on opposite deque ends and a
-        // straggler shard (one slow instance) never idles the pool. Slots
-        // are popped exactly once and never re-queued, so a worker may
-        // exit as soon as one scan over every shard finds them all empty.
-        let nworkers = self.workers.min(count.max(1));
-        let shards: Vec<Mutex<VecDeque<usize>>> = (0..nworkers)
-            .map(|w| Mutex::new((w * count / nworkers..(w + 1) * count / nworkers).collect()))
-            .collect();
-        let results: ResultSlots<T, E> = Mutex::new((0..count).map(|_| None).collect());
-        let registries: RegistrySlots = Mutex::new((0..count).map(|_| None).collect());
-        std::thread::scope(|scope| {
-            for worker in 0..nworkers {
-                let (shards, results, registries, job) = (&shards, &results, &registries, &job);
-                scope.spawn(move || loop {
-                    let mut stolen = false;
-                    let mut claimed = lock_clean(&shards[worker]).pop_front();
-                    if claimed.is_none() {
-                        for offset in 1..nworkers {
-                            let victim = (worker + offset) % nworkers;
-                            if let Some(slot) = lock_clean(&shards[victim]).pop_back() {
-                                stolen = true;
-                                claimed = Some(slot);
-                                break;
-                            }
+        // Workers claim slots in ascending order from one shared cursor, so
+        // a slow instance never idles the pool, and each returns the jobs it
+        // finished. The cursor hands out each slot exactly once and
+        // publishes nothing else (results travel back through the joins),
+        // so relaxed ordering suffices.
+        let next = AtomicUsize::new(0);
+        let nworkers = self.workers.min(indices.len().max(1));
+        let mut finished: Vec<(usize, Entry<T, E>, SubRegistry)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..nworkers)
+                .map(|worker| {
+                    let (next, job) = (&next, &job);
+                    scope.spawn(move || {
+                        let mut done = Vec::new();
+                        loop {
+                            let slot = next.fetch_add(1, Ordering::Relaxed);
+                            let Some(&idx) = indices.get(slot) else {
+                                break done;
+                            };
+                            let (entry, sub) =
+                                run_job(fleet, model, idx, worker, instrumented, job);
+                            done.push((slot, entry, sub));
                         }
-                    }
-                    let slot = match claimed {
-                        Some(i) => i,
-                        None => break,
-                    };
-                    let idx = indices[slot];
-                    #[allow(clippy::expect_used)]
-                    // audit: allow(panic-safety): documented "# Panics" contract — an index above the population is a caller bug, checked before any work ran
-                    let instance = fleet.instance(model, idx).expect("index below population");
-                    let sub = instrumented.then(|| Arc::new(obs::Registry::new()));
-                    // audit: allow(determinism): wall time is recorded as a volatile metric only; deterministic exports never include it
-                    let start = std::time::Instant::now();
-                    let result = {
-                        let _scope = sub.clone().map(obs::install);
-                        catch_unwind(AssertUnwindSafe(|| job(&instance)))
-                    };
-                    let result = match result {
-                        Ok(Ok(v)) => Ok(v),
-                        Ok(Err(e)) => Err(JobFailure::Job(e)),
-                        Err(payload) => Err(JobFailure::Panic(panic_message(payload))),
-                    };
-                    if let Some(sub) = &sub {
-                        sub.set_gauge_volatile(
-                            &format!("fleet.instance.{idx:04}.wall_us"),
-                            start.elapsed().as_micros() as f64,
-                        );
-                        sub.add_volatile(&format!("fleet.worker.{worker:02}.jobs"), 1);
-                        if stolen {
-                            // Which slots get stolen is scheduling-dependent,
-                            // so steal counts are volatile-only.
-                            sub.add_volatile(&format!("fleet.worker.{worker:02}.steals"), 1);
-                        }
-                    }
-                    lock_clean(results)[slot] = Some((instance, result));
-                    lock_clean(registries)[slot] = sub;
-                });
-            }
+                    })
+                })
+                .collect();
+            // A worker dies outside `catch_unwind` only on a caller bug (an
+            // index above the population): re-raise it, as documented.
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap_or_else(|payload| resume_unwind(payload)))
+                .collect()
         });
-        let slots = results.into_inner().unwrap_or_else(PoisonError::into_inner);
-        let results = seal_results(fleet, model, indices, slots);
+        finished.sort_unstable_by_key(|f| f.0);
+        let (results, subs): (Vec<_>, Vec<_>) = finished
+            .into_iter()
+            .map(|(_, entry, sub)| (entry, sub))
+            .unzip();
         if let Some(reg) = &registry {
             // Instance-order merge: counter and histogram merges commute,
             // but gauge collisions resolve last-wins, so a fixed order keeps
             // the snapshot independent of worker scheduling.
-            let subs = registries
-                .into_inner()
-                .unwrap_or_else(PoisonError::into_inner);
             for sub in subs.into_iter().flatten() {
                 reg.merge(&sub);
             }
@@ -346,10 +304,9 @@ impl FleetRunner {
     /// guarantees exactly one solve per unique signature at any worker
     /// count.
     ///
-    /// Returns, per instance, the recovered map plus the signature and
-    /// whether this instance's solve came from the cache (the raw
-    /// scheduling-dependent flag; campaigns recompute deterministic
-    /// hit/miss totals in instance order).
+    /// Returns, per instance, the recovered map plus its signature
+    /// (campaigns compute deterministic hit/miss totals from the signatures
+    /// in instance order).
     pub fn map_instances_cached<B, F>(
         &self,
         fleet: &CloudFleet,
@@ -376,7 +333,6 @@ impl FleetRunner {
                 MappedInstance {
                     map: model.label_map(m).with_template(model.template()),
                     signature: diag.signature,
-                    solve_cached: diag.solve_cached,
                 }
             })
         })
@@ -393,10 +349,6 @@ pub struct MappedInstance {
     /// paper-literal path computed one (`None` under hypothesis
     /// selection, which always solves).
     pub signature: Option<coremap_core::ObservationSignature>,
-    /// Whether the step-3 solve was served from the cache. Which racing
-    /// instance solved first is scheduling-dependent; use instance-order
-    /// accounting for deterministic totals.
-    pub solve_cached: bool,
 }
 
 impl Default for FleetRunner {
@@ -412,7 +364,7 @@ impl Default for FleetRunner {
 /// Per-instance results of a fleet campaign, in instance order.
 #[derive(Debug)]
 pub struct FleetOutcome<T, E> {
-    results: Vec<(CloudInstance, Result<T, JobFailure<E>>)>,
+    results: Vec<Entry<T, E>>,
 }
 
 impl<T, E> FleetOutcome<T, E> {
@@ -594,36 +546,9 @@ mod tests {
     }
 
     #[test]
-    fn unfilled_result_slot_becomes_a_panic_entry() {
-        // Regression: a worker dying between claiming an index and filling
-        // its slot used to trip `expect("every index processed")` and kill
-        // the whole campaign. The hole must become a per-instance failure.
-        let fleet = CloudFleet::with_seed(9);
-        let indices = [0usize, 1, 2];
-        let inst1 = fleet.instance(CpuModel::Gold6354, 1).unwrap();
-        let slots: Vec<Option<ResultEntry<usize, String>>> = vec![
-            None, // worker died before publishing instance 0
-            Some((inst1, Ok(1))),
-            None, // and instance 2
-        ];
-        let sealed = seal_results(&fleet, CpuModel::Gold6354, &indices, slots);
-        assert_eq!(sealed.len(), 3);
-        assert_eq!(sealed[0].0.index(), 0);
-        assert!(
-            matches!(&sealed[0].1, Err(JobFailure::Panic(msg)) if msg.contains("worker died")),
-            "hole must seal as a panic failure"
-        );
-        assert_eq!(sealed[1].1, Ok(1));
-        assert!(matches!(&sealed[2].1, Err(JobFailure::Panic(_))));
-        let outcome = FleetOutcome { results: sealed };
-        assert_eq!(outcome.failure_count(), 2);
-        assert_eq!(outcome.panic_count(), 2);
-    }
-
-    #[test]
-    fn stealing_runner_matches_sequential_results() {
-        // More workers than instances forces idle workers onto the steal
-        // path; results and instance order must not change.
+    fn parallel_runner_matches_sequential_results() {
+        // More workers than instances leaves some workers nothing to claim;
+        // results and instance order must not change.
         let fleet = CloudFleet::with_seed(9);
         let seq = FleetRunner::sequential().run(&fleet, CpuModel::Gold6354, 6, |i| {
             Ok::<usize, MapError>(i.index() * 10)

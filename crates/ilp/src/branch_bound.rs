@@ -17,8 +17,7 @@ use coremap_obs as obs;
 
 use crate::model::{Model, VarKind};
 use crate::presolve::{self, IndicatorStructure, SparseRow};
-use crate::revised::{LpStats, RevisedEngine};
-use crate::simplex::{LpOutcome, LpRow, FEAS_TOL};
+use crate::revised::{LpOutcome, LpRow, LpStats, RevisedEngine, FEAS_TOL};
 use crate::solution::{Solution, SolveStats, Status};
 use crate::SolveError;
 
@@ -231,7 +230,7 @@ fn tighten_child(
 ) -> Option<Vec<(f64, f64)>> {
     let fixed_before = presolve::count_fixed(&bounds);
     let mut tightenings = 0u64;
-    let res = presolve::tighten_quiet(rows, kinds, structure, &mut bounds, &mut tightenings);
+    let res = presolve::tighten(rows, kinds, structure, &mut bounds, &mut tightenings);
     obs::add("ilp.presolve.tightenings", tightenings);
     match res {
         Ok(()) => {

@@ -24,9 +24,6 @@
 //!   the final incumbent, so floating-point drift inside the simplex can
 //!   never silently produce an infeasible "solution".
 //!
-//! The dense tableau in [`simplex`] solves nothing in production; it is
-//! the reference the revised engine is tested against.
-//!
 //! ```
 //! use coremap_ilp::{Model, Cmp};
 //!
@@ -55,7 +52,8 @@ mod lu;
 mod model;
 pub mod presolve;
 mod revised;
-pub mod simplex;
+#[cfg(test)]
+mod simplex;
 mod solution;
 mod sparse;
 

@@ -224,34 +224,20 @@ pub fn merge_equalities(model: &Model) -> Result<Presolved, SolveError> {
 }
 
 /// A sparse constraint row: `(terms, comparison, rhs)`.
-pub type SparseRow = (Vec<(usize, f64)>, Cmp, f64);
+pub(crate) type SparseRow = (Vec<(usize, f64)>, Cmp, f64);
 
 /// One round of interval-arithmetic bound propagation over `constraints`,
-/// tightening `bounds` in place. Returns whether anything changed.
+/// tightening `bounds` in place and counting each tightened bound into
+/// `tightenings`. Returns whether anything changed.
 ///
 /// For every constraint `sum a_i x_i (cmp) rhs` and every variable `j`, the
 /// activity range of the remaining terms implies a bound on `x_j`; integer
-/// variables round inward. Used by the solver as root preprocessing and
-/// exposed for model debugging.
+/// variables round inward.
 ///
 /// # Errors
 ///
 /// [`SolveError::Infeasible`] when a domain empties.
-pub fn propagate_bounds_once(
-    constraints: &[SparseRow],
-    kinds: &[VarKind],
-    bounds: &mut [(f64, f64)],
-) -> Result<bool, SolveError> {
-    let mut tightenings = 0u64;
-    let res = propagate_bounds_quiet(constraints, kinds, bounds, &mut tightenings);
-    obs::add("ilp.presolve.tightenings", tightenings);
-    res
-}
-
-/// [`propagate_bounds_once`] without metrics recording. The branch-and-bound
-/// sequencer uses this at node level and records the counts itself, so the
-/// observation stream stays identical at any worker count.
-pub(crate) fn propagate_bounds_quiet(
+fn propagate_bounds(
     constraints: &[SparseRow],
     kinds: &[VarKind],
     bounds: &mut [(f64, f64)],
@@ -557,13 +543,13 @@ impl IndicatorStructure {
 }
 
 /// Runs interval and indicator propagation to a fixpoint (bounded passes),
-/// obs-free. The branch-and-bound sequencer calls this per node and records
-/// the accumulated counts itself.
+/// counting tightened bounds into `tightenings` without recording them:
+/// the root and every branch-and-bound node record their own totals.
 ///
 /// # Errors
 ///
 /// [`SolveError::Infeasible`] when propagation proves the bounds infeasible.
-pub(crate) fn tighten_quiet(
+pub(crate) fn tighten(
     constraints: &[SparseRow],
     kinds: &[VarKind],
     structure: &IndicatorStructure,
@@ -571,7 +557,7 @@ pub(crate) fn tighten_quiet(
     tightenings: &mut u64,
 ) -> Result<(), SolveError> {
     for _ in 0..16 {
-        let a = propagate_bounds_quiet(constraints, kinds, bounds, tightenings)?;
+        let a = propagate_bounds(constraints, kinds, bounds, tightenings)?;
         let b = structure.propagate(kinds, bounds, tightenings)?;
         if !a && !b {
             break;
@@ -595,7 +581,7 @@ pub fn tightened_bounds(model: &Model) -> Result<Vec<(f64, f64)>, SolveError> {
     let structure = IndicatorStructure::detect(&constraints, &kinds, model.var_count());
     let fixed_before = count_fixed(&bounds);
     let mut tightenings = 0u64;
-    let res = tighten_quiet(
+    let res = tighten(
         &constraints,
         &kinds,
         &structure,

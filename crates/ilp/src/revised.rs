@@ -2,7 +2,7 @@
 //!
 //! This is the LP engine behind branch & bound: every node's relaxation is
 //! a cold two-phase primal solve ([`RevisedEngine::solve_primal`]). The
-//! dense tableau in [`crate::simplex`] is kept only as the reference the
+//! dense tableau in `simplex.rs` is kept only as the reference the
 //! differential test below compares against. Differences that matter for
 //! speed on the reconstruction ILP:
 //!
@@ -28,11 +28,53 @@
 //! wall-clock, no hashing, no randomness.
 
 use crate::lu::Factorization;
-#[cfg(test)]
-use crate::simplex::LpProblem;
-use crate::simplex::{LpOutcome, LpRow, FEAS_TOL};
 use crate::sparse::ColMatrix;
 use crate::{Cmp, SolveError};
+
+/// Feasibility / integrality tolerance used throughout the solver.
+pub const FEAS_TOL: f64 = 1e-7;
+
+/// A linear constraint row of an LP, in sparse form.
+#[derive(Debug, Clone)]
+pub struct LpRow {
+    /// `(variable index, coefficient)` pairs; indices must be unique.
+    pub coeffs: Vec<(usize, f64)>,
+    /// Comparison operator.
+    pub cmp: Cmp,
+    /// Right-hand side.
+    pub rhs: f64,
+}
+
+/// A bounded linear program: minimize `objective . x` subject to the rows
+/// and to `bounds[j].0 <= x[j] <= bounds[j].1`.
+#[cfg(test)]
+#[derive(Debug, Clone)]
+pub struct LpProblem {
+    /// Number of structural variables.
+    pub n: usize,
+    /// Dense objective vector of length `n`.
+    pub objective: Vec<f64>,
+    /// Constraint rows.
+    pub rows: Vec<LpRow>,
+    /// Inclusive finite bounds per variable.
+    pub bounds: Vec<(f64, f64)>,
+}
+
+/// Result of an LP solve.
+#[derive(Debug, Clone)]
+pub enum LpOutcome {
+    /// Optimal solution found.
+    Optimal {
+        /// Optimal point (length `n`).
+        x: Vec<f64>,
+        /// Optimal objective value.
+        objective: f64,
+    },
+    /// No feasible point exists.
+    Infeasible,
+    /// The objective is unbounded below on the feasible region.
+    Unbounded,
+}
 
 const PIVOT_TOL: f64 = 1e-9;
 const DJ_TOL: f64 = 1e-9;
@@ -301,11 +343,7 @@ impl RevisedEngine {
             .collect();
         let objective = x.iter().zip(&self.cost).map(|(a, b)| a * b).sum();
         RevisedOutcome {
-            outcome: LpOutcome::Optimal {
-                x,
-                objective,
-                iterations: 0,
-            },
+            outcome: LpOutcome::Optimal { x, objective },
             stats,
         }
     }
@@ -518,11 +556,7 @@ impl SolveState<'_> {
         let x: Vec<f64> = values[..eng.n].to_vec();
         let objective: f64 = x.iter().zip(&eng.cost[..eng.n]).map(|(a, b)| a * b).sum();
         RevisedOutcome {
-            outcome: LpOutcome::Optimal {
-                x,
-                objective,
-                iterations: self.stats.pivots,
-            },
+            outcome: LpOutcome::Optimal { x, objective },
             stats: self.stats,
         }
     }

@@ -1,11 +1,9 @@
-//! Dense two-phase primal simplex: the reference LP solver.
+//! Dense two-phase primal simplex: the reference LP solver of the tests.
 //!
 //! Branch & bound solves its relaxations with the sparse revised engine
 //! (`revised.rs`); this dense tableau with Dantzig pricing and a
-//! Bland's-rule anti-cycling fallback is kept because it is simple enough
-//! to trust, and the revised engine's differential test checks its optima
-//! against it. The shared LP types ([`LpRow`], [`LpProblem`],
-//! [`LpOutcome`]) and [`FEAS_TOL`] live here too.
+//! Bland's-rule anti-cycling fallback is simple enough to trust, and the
+//! revised engine's differential test checks its optima against it.
 //!
 //! Standardization: every variable is shifted so its lower bound becomes 0;
 //! finite upper bounds become explicit `<=` rows; rows are scaled to a
@@ -20,56 +18,12 @@
 
 use coremap_obs as obs;
 
+use crate::revised::{LpOutcome, LpProblem, LpRow, FEAS_TOL};
 use crate::{Cmp, SolveError};
 
-/// Feasibility / integrality tolerance used throughout the solver.
-pub const FEAS_TOL: f64 = 1e-7;
 const PIVOT_TOL: f64 = 1e-9;
 /// Pivots of Dantzig pricing before switching to Bland's rule.
 const BLAND_SWITCH: usize = 2_000;
-
-/// A linear constraint row of an [`LpProblem`], in sparse form.
-#[derive(Debug, Clone)]
-pub struct LpRow {
-    /// `(variable index, coefficient)` pairs; indices must be unique.
-    pub coeffs: Vec<(usize, f64)>,
-    /// Comparison operator.
-    pub cmp: Cmp,
-    /// Right-hand side.
-    pub rhs: f64,
-}
-
-/// A bounded linear program: minimize `objective . x` subject to the rows
-/// and to `bounds[j].0 <= x[j] <= bounds[j].1`.
-#[derive(Debug, Clone)]
-pub struct LpProblem {
-    /// Number of structural variables.
-    pub n: usize,
-    /// Dense objective vector of length `n`.
-    pub objective: Vec<f64>,
-    /// Constraint rows.
-    pub rows: Vec<LpRow>,
-    /// Inclusive finite bounds per variable.
-    pub bounds: Vec<(f64, f64)>,
-}
-
-/// Result of an LP solve.
-#[derive(Debug, Clone)]
-pub enum LpOutcome {
-    /// Optimal solution found.
-    Optimal {
-        /// Optimal point (length `n`).
-        x: Vec<f64>,
-        /// Optimal objective value.
-        objective: f64,
-        /// Simplex pivots used.
-        iterations: usize,
-    },
-    /// No feasible point exists.
-    Infeasible,
-    /// The objective is unbounded below on the feasible region.
-    Unbounded,
-}
 
 /// Solves the LP with two-phase primal simplex.
 ///
@@ -159,11 +113,7 @@ pub(crate) fn solve_lp_with_bland_switch(
             }
         }
         let obj = x.iter().zip(&p.objective).map(|(a, b)| a * b).sum();
-        return Ok(LpOutcome::Optimal {
-            x,
-            objective: obj,
-            iterations: 0,
-        });
+        return Ok(LpOutcome::Optimal { x, objective: obj });
     }
 
     // Column layout: [structural (n)] [slack/surplus (m_s)] [artificial (m_a)]
@@ -337,11 +287,7 @@ pub(crate) fn solve_lp_with_bland_switch(
         x[j] = fixed[j].unwrap_or(y[j] + shift[j]);
     }
     let objective = x.iter().zip(&p.objective).map(|(a, b)| a * b).sum();
-    Ok(LpOutcome::Optimal {
-        x,
-        objective,
-        iterations,
-    })
+    Ok(LpOutcome::Optimal { x, objective })
 }
 
 enum Phase {
@@ -800,10 +746,13 @@ mod tests {
             ],
             vec![(0.0, 10.0); 3],
         );
-        let total = match solve_lp(&p).unwrap() {
-            LpOutcome::Optimal { iterations, .. } => iterations,
-            other => panic!("expected optimal, got {other:?}"),
-        };
+        let first = std::sync::Arc::new(coremap_obs::Registry::new());
+        {
+            let _g = coremap_obs::install(first.clone());
+            let outcome = solve_lp(&p).unwrap();
+            assert!(matches!(outcome, LpOutcome::Optimal { .. }), "{outcome:?}");
+        }
+        let total = first.counter_value("ilp.simplex.pivots") as usize;
         assert!(total >= 2, "need a multi-pivot solve, got {total}");
 
         // Re-solve with the switch threshold strictly inside the total

@@ -11,9 +11,8 @@
 /// Immutable compressed-sparse-column matrix.
 ///
 /// Entries within a column are stored in ascending row order; iteration
-/// order (and therefore floating-point summation order) is fixed, which the
-/// byte-identical-across-worker-counts guarantee of the parallel B&B relies
-/// on.
+/// order (and therefore floating-point summation order) is fixed, so every
+/// solve is reproducible bit for bit.
 #[derive(Debug, Clone)]
 pub(crate) struct ColMatrix {
     col_ptr: Vec<usize>,

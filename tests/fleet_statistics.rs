@@ -4,8 +4,7 @@
 // Test/bench harness: unwraps abort the harness, which is the desired failure mode.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use core_map::core::cha_map;
-use core_map::core::eviction;
+use core_map::core::{cha_map, eviction, Harden};
 use core_map::fleet::{CloudFleet, CpuModel};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -14,8 +13,10 @@ use rand_chacha::ChaCha8Rng;
 fn measure_id_mapping(instance: &core_map::fleet::CloudInstance) -> Vec<u16> {
     let mut machine = instance.boot();
     let mut rng = ChaCha8Rng::seed_from_u64(1);
-    let sets = eviction::build_all_sets(&mut machine, &mut rng, 8).expect("sets");
-    let mapping = cha_map::discover(&mut machine, &sets, 3).expect("mapping");
+    let sets = eviction::build_all_sets_with(&mut machine, &mut rng, 8, &mut Harden::default())
+        .expect("sets");
+    let mapping =
+        cha_map::discover_with(&mut machine, &sets, 3, &mut Harden::default()).expect("mapping");
     mapping
         .core_to_cha
         .iter()
